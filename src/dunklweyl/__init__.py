@@ -6,7 +6,7 @@ polynomials, the closed-form trace with constructive commutator
 certificates, characteristic-class generating functions, and a CLI.
 """
 
-from .algebra import SrcElement, commutator, from_xy, homogeneous_component, idempotent, mul
+from .algebra import SrcElement, commutator, homogeneous_component, idempotent, mul
 from .hochschild import Certificate, Witness, check_certificate, hh0_report, reduce_certificate
 from .index import (
     FormPoly,
@@ -50,7 +50,6 @@ __all__ = [
     "commutator",
     "embed",
     "euler_derivation",
-    "from_xy",
     "hh0_report",
     "homogeneous_component",
     "idempotent",

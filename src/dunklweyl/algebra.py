@@ -13,9 +13,9 @@ remain; the reordering of zb^q * z^p is memoized, keyed by (q, p).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
@@ -23,15 +23,6 @@ TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 # concurrent readers sharing these tables are safe.
 _ZBQ_Z: dict[int, dict[TermKey, ScalarPoly]] = {}
 _REORDER: dict[tuple[int, int], dict[TermKey, ScalarPoly]] = {}
-
-
-def _acc(out: dict[TermKey, ScalarPoly], key: TermKey, value: ScalarPoly) -> None:
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _zbq_z(q: int) -> dict[TermKey, ScalarPoly]:
@@ -47,14 +38,14 @@ def _zbq_z(q: int) -> dict[TermKey, ScalarPoly]:
     out: dict[TermKey, ScalarPoly] = {}
     for (a, b, eps), c in _zbq_z(q - 1).items():
         if a == 0:
-            _acc(out, (0, b + 1, eps), c)
+            accumulate(out, (0, b + 1, eps), c)
         else:
             # zb * z * zb^b g^eps, one application of
             # zb z -> z zb - i h1 (1 + 2 h2 g), with g zb^b = (-1)^b zb^b g
-            _acc(out, (1, b + 1, eps), c)
-            _acc(out, (0, b, eps), minus_ih1 * c)
+            accumulate(out, (1, b + 1, eps), c)
+            accumulate(out, (0, b, eps), minus_ih1 * c)
             two_h2 = ScalarPoly.monomial(GaussianRational.of(2 * (-1) ** b), 0, 1)
-            _acc(out, (0, b, eps ^ 1), minus_ih1 * two_h2 * c)
+            accumulate(out, (0, b, eps ^ 1), minus_ih1 * two_h2 * c)
     _ZBQ_Z[q] = out
     return out
 
@@ -74,29 +65,32 @@ def _reorder(q: int, p: int) -> dict[TermKey, ScalarPoly]:
         sign = -1 if (eps == 1 and (p - 1) % 2 == 1) else 1
         cc = c if sign == 1 else -c
         for (x, y, e2), r in _reorder(b, p - 1).items():
-            _acc(out, (x + a, y, e2 ^ eps), cc * r)
+            accumulate(out, (x + a, y, e2 ^ eps), cc * r)
     _REORDER[(q, p)] = out
     return out
 
 
-class SrcElement:
+class SrcElement(TermMap):
     """Element of the reflection algebra in normal form.
 
     Term map from (p, q, eps) to a ScalarPoly coefficient, standing for
-    coeff * z^p * zb^q * g^eps.  Instances are treated as immutable.
+    coeff * z^p * zb^q * g^eps.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _printer = "element_to_text"
+    _zero_coeff = ScalarPoly()
 
-    def __init__(self, terms: Mapping[TermKey, ScalarPoly] | None = None):
-        cleaned: dict[TermKey, ScalarPoly] = {}
-        if terms:
-            for (p, q, eps), c in terms.items():
-                if p < 0 or q < 0 or eps not in (0, 1):
-                    raise ValueError(f"bad term key {(p, q, eps)}")
-                if not c.is_zero():
-                    cleaned[(p, q, eps)] = c
-        self._terms = cleaned
+    def _key(self, key: TermKey) -> TermKey:
+        p, q, eps = key
+        if p < 0 or q < 0 or eps not in (0, 1):
+            raise ValueError(f"bad term key {(p, q, eps)}")
+        return key
+
+    @staticmethod
+    def _order(key: TermKey) -> tuple[int, int, int]:
+        # canonical order: (eps, p, q)
+        return (key[2], key[0], key[1])
 
     # -- constructors -------------------------------------------------
 
@@ -143,19 +137,6 @@ class SrcElement:
 
     # -- queries -------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[TermKey, ScalarPoly]]:
-        """Terms in canonical lexicographic (eps, p, q) order."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])))
-
-    def term_map(self) -> dict[TermKey, ScalarPoly]:
-        return dict(self._terms)
-
-    def coefficient(self, p: int, q: int, eps: int = 0) -> ScalarPoly:
-        return self._terms.get((p, q, eps), ScalarPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def gamma_free(self) -> bool:
         return all(eps == 0 for (_p, _q, eps) in self._terms)
 
@@ -163,26 +144,6 @@ class SrcElement:
         return all(c.h2_bounded_by_h1() for c in self._terms.values())
 
     # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "SrcElement") -> "SrcElement":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SrcElement(out)
-
-    def __sub__(self, other: "SrcElement") -> "SrcElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SrcElement":
-        return SrcElement({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c: ScalarPoly) -> "SrcElement":
-        return SrcElement({k: c * v for k, v in self._terms.items()})
 
     def __mul__(self, other: "SrcElement") -> "SrcElement":
         return mul(self, other)
@@ -194,28 +155,6 @@ class SrcElement:
         for _ in range(n):
             out = mul(out, self)
         return out
-
-    def subs_h2_zero(self) -> "SrcElement":
-        return SrcElement({k: c.subs_h2_zero() for k, c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SrcElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((k, hash(c)) for k, c in self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"SrcElement({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from .exprs import element_to_text
-
-        return element_to_text(self)
 
     def to_json(self) -> list:
         return [
@@ -244,40 +183,12 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
                 cc = c * r
                 if eps == 1 and q2 % 2 == 1:
                     cc = -cc
-                key = (p1 + x_, y_ + q2, eps ^ e1 ^ e2)
-                s = out.get(key)
-                s = cc if s is None else s + cc
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return SrcElement(out)
+                accumulate(out, (p1 + x_, y_ + q2, eps ^ e1 ^ e2), cc)
+    return a._new(out)
 
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:
     return mul(a, b) - mul(b, a)
-
-
-def from_xy(words: Iterable[tuple[ScalarPoly, Iterable[str]]]) -> SrcElement:
-    """Evaluate a sum of coefficiented words in the generators x, y, g.
-
-    Substitutes x = (z+zb)/2 and y = (z-zb)/(2i) and normalizes.  Each word
-    is an ordered sequence of atom names from {"x", "y", "g", "z", "zb"}.
-    """
-    atoms = {
-        "x": SrcElement.x(),
-        "y": SrcElement.y(),
-        "g": SrcElement.gamma(),
-        "z": SrcElement.z(),
-        "zb": SrcElement.zb(),
-    }
-    total = SrcElement.zero()
-    for coeff, word in words:
-        acc = SrcElement.scalar(coeff)
-        for atom in word:
-            acc = mul(acc, atoms[atom])
-        total = total + acc
-    return total
 
 
 def homogeneous_component(a: SrcElement, d: int) -> SrcElement:

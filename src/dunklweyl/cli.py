@@ -22,6 +22,19 @@ from .suites import SUITE_NAMES, Case, Report, RunConfig, run_suite
 from .trace import ch_phi, phi
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunkl",
@@ -59,15 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("hh0", help="certify all invariant monomials up to a degree")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=_int_at_least(0), default=8)
     add_common(p)
 
     p = sub.add_parser("chphi", help="deformed character series coefficients")
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_int_at_least(0), default=6)
     add_common(p)
 
     p = sub.add_parser("index", help="degree-(n-1) index form in curvature symbols")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--rt", action="append", default=[], metavar="SYM",
                    help="tangent eigenvalue-pair symbol (repeat n-1 times; '0' for none)")
     p.add_argument("--theta", metavar="SYM", help="central curvature symbol")
@@ -75,16 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("localtrace", help="fiberwise trace density in the local model")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("expr")
     add_common(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--degree", type=_int_at_least(0), default=8)
+    p.add_argument("--order", type=_int_at_least(0), default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--h2-zero", action="store_true")
     p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
@@ -176,9 +189,6 @@ def _run_command(args) -> int:
         _emit_value(args, exprs.form_to_text(result), result.to_json())
         return 0
     if args.command == "localtrace":
-        if args.n < 1:
-            print("localtrace: --n must be at least 1", file=sys.stderr)
-            return 2
         F = exprs.eval_local(exprs.parse(args.expr), args.n - 1)
         density = _maybe_h2_zero(args, local_trace_density(F))
         _emit_value(args, exprs.local_to_text(density), _local_json(density))

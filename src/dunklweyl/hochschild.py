@@ -136,7 +136,7 @@ class Hh0Report:
 
     @property
     def all_ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return bool(self.entries) and all(e.ok for e in self.entries)
 
     @property
     def failures(self) -> list[Hh0Entry]:

@@ -15,26 +15,30 @@ and returns a base polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from math import factorial
+from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
 from .scalars import (
     GaussianRational,
     ScalarPoly,
+    TermMap,
     TruncSeries,
+    accumulate,
     series_inverse,
 )
-from .spherical import ParityError
+from .spherical import ParityError, symmetric_weyl_terms
 from .trace import class_scalar, step_factor
 
 SymKey = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 
 
-def _merge_sym(k1: SymKey, k2: SymKey) -> SymKey:
-    acc: dict[str, int] = {}
-    for name, e in k1 + k2:
-        acc[name] = acc.get(name, 0) + e
+def _merge_exponents(k1: tuple, k2: tuple) -> tuple:
+    """Product of two monomials stored as sorted ((variable, exponent), ...)."""
+    acc: dict = {}
+    for v, e in k1 + k2:
+        acc[v] = acc.get(v, 0) + e
     return tuple(sorted(acc.items()))
 
 
@@ -42,10 +46,12 @@ def _sym_degree(key: SymKey) -> int:
     return 2 * sum(e for _n, e in key)
 
 
-class FormPoly:
+class FormPoly(TermMap):
     """Polynomial in commuting degree-2 curvature symbols, degree-truncated."""
 
-    __slots__ = ("_terms", "max_form_degree")
+    __slots__ = ("max_form_degree",)
+    _printer = "form_to_text"
+    _zero_coeff = ScalarPoly()
 
     def __init__(
         self,
@@ -55,18 +61,22 @@ class FormPoly:
         if max_form_degree < 0 or max_form_degree % 2 != 0:
             raise ValueError("max_form_degree must be a non-negative even integer")
         self.max_form_degree = max_form_degree
-        cleaned: dict[SymKey, ScalarPoly] = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(sorted((n, e) for n, e in key if e != 0))
-                if any(e < 0 for _n, e in key):
-                    raise ValueError("negative symbol exponent")
-                if _sym_degree(key) > max_form_degree or c.is_zero():
-                    continue
-                cleaned[key] = cleaned.get(key, ScalarPoly.zero()) + c
-                if cleaned[key].is_zero():
-                    del cleaned[key]
-        self._terms = cleaned
+        super().__init__(terms)
+
+    def _key(self, key: SymKey) -> SymKey | None:
+        key = tuple(sorted((n, e) for n, e in key if e != 0))
+        if any(e < 0 for _n, e in key):
+            raise ValueError("negative symbol exponent")
+        return None if _sym_degree(key) > self.max_form_degree else key
+
+    @staticmethod
+    def _order(key: SymKey) -> tuple[int, SymKey]:
+        return (_sym_degree(key), key)
+
+    def _new(self, terms: dict) -> "FormPoly":
+        out = TermMap._new(self, terms)
+        out.max_form_degree = self.max_form_degree
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -88,15 +98,6 @@ class FormPoly:
 
     # -- queries -------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[SymKey, ScalarPoly]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: (_sym_degree(kv[0]), kv[0])))
-
-    def coefficient(self, key: SymKey) -> ScalarPoly:
-        return self._terms.get(tuple(sorted(key)), ScalarPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree_component(self, d: int) -> "FormPoly":
         return FormPoly(
             {k: c for k, c in self._terms.items() if _sym_degree(k) == d},
@@ -104,7 +105,7 @@ class FormPoly:
         )
 
     def degree_zero_part(self) -> ScalarPoly:
-        return self._terms.get((), ScalarPoly.zero())
+        return self.coefficient(())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -112,29 +113,17 @@ class FormPoly:
         return min(self.max_form_degree, other.max_form_degree)
 
     def __add__(self, other: "FormPoly") -> "FormPoly":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, ScalarPoly.zero()) + c
-        return FormPoly(out, self._out_degree(other))
-
-    def __sub__(self, other: "FormPoly") -> "FormPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "FormPoly":
-        return FormPoly({k: -c for k, c in self._terms.items()}, self.max_form_degree)
-
-    def scale(self, c: ScalarPoly) -> "FormPoly":
-        return FormPoly({k: c * v for k, v in self._terms.items()}, self.max_form_degree)
+        # a sum is known only up to the smaller truncation degree
+        return FormPoly(TermMap.__add__(self, other)._terms, self._out_degree(other))
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
         deg = self._out_degree(other)
         out: dict[SymKey, ScalarPoly] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                key = _merge_sym(k1, k2)
-                if _sym_degree(key) > deg:
-                    continue
-                out[key] = out.get(key, ScalarPoly.zero()) + c1 * c2
+                key = _merge_exponents(k1, k2)
+                if _sym_degree(key) <= deg:
+                    accumulate(out, key, c1 * c2)
         return FormPoly(out, deg)
 
     def pow(self, n: int) -> "FormPoly":
@@ -143,26 +132,8 @@ class FormPoly:
             out = out * self
         return out
 
-    def subs_h2_zero(self) -> "FormPoly":
-        return FormPoly(
-            {k: c.subs_h2_zero() for k, c in self._terms.items()}, self.max_form_degree
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __repr__(self) -> str:
         return f"FormPoly({self.to_text()}, max_form_degree={self.max_form_degree})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from .exprs import form_to_text
-
-        return form_to_text(self)
 
     def to_json(self) -> list:
         return [
@@ -182,7 +153,7 @@ def inv_sinh_quotient(order: int) -> TruncSeries:
     coeffs = [ScalarPoly.zero() for _ in range(order + 1)]
     m = 0
     while 2 * m <= order:
-        denom = 4**m * _fact(2 * m + 1)
+        denom = 4**m * factorial(2 * m + 1)
         coeffs[2 * m] = ScalarPoly.from_rational(Fraction(1, denom))
         m += 1
     return series_inverse(TruncSeries(coeffs, order))
@@ -235,7 +206,7 @@ def ch_phi_form(rn: FormPoly | None, max_form_degree: int) -> FormPoly:
         power = power * rn
         prod = prod * step_factor(k)
         i_pow = i_pow * GaussianRational.of(0, 1)
-        coeff = prod.scale(i_pow).scale(GaussianRational.of(Fraction(1, _fact(k))))
+        coeff = prod.scale(i_pow).scale(GaussianRational.of(Fraction(1, factorial(k))))
         out = out + power.scale(coeff)
     return out
 
@@ -269,13 +240,6 @@ def index_form(
     return total.degree_component(deg).scale(ScalarPoly.h1(n - 1))
 
 
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
 # -- the flat local model ----------------------------------------------
 
 BaseKey = tuple[tuple[int, int], ...]  # sorted ((variable, exponent), ...)
@@ -289,34 +253,26 @@ def base_var_id(kind: str, i: int) -> int:
     return 2 * (i - 1) + (0 if kind == "p" else 1)
 
 
-def _merge_base(k1: BaseKey, k2: BaseKey) -> BaseKey:
-    acc: dict[int, int] = {}
-    for v, e in k1 + k2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
-
-
-class LocalElement:
+class LocalElement(TermMap):
     """Element of the local model: base Weyl monomials tensor fiber words."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _printer = "local_to_text"
+    _zero_coeff = ScalarPoly()
 
-    def __init__(self, terms: Mapping[LocalKey, ScalarPoly] | None = None):
-        cleaned: dict[LocalKey, ScalarPoly] = {}
-        if terms:
-            for (base, p, q, eps), c in terms.items():
-                base = tuple(sorted((v, e) for v, e in base if e != 0))
-                if any(e < 0 or v < 0 for v, e in base):
-                    raise ValueError("bad base exponents")
-                if p < 0 or q < 0 or eps not in (0, 1):
-                    raise ValueError("bad fiber exponents")
-                if c.is_zero():
-                    continue
-                key = (base, p, q, eps)
-                cleaned[key] = cleaned.get(key, ScalarPoly.zero()) + c
-                if cleaned[key].is_zero():
-                    del cleaned[key]
-        self._terms = cleaned
+    def _key(self, key: LocalKey) -> LocalKey:
+        base, p, q, eps = key
+        base = tuple(sorted((v, e) for v, e in base if e != 0))
+        if any(e < 0 or v < 0 for v, e in base):
+            raise ValueError("bad base exponents")
+        if p < 0 or q < 0 or eps not in (0, 1):
+            raise ValueError("bad fiber exponents")
+        return (base, p, q, eps)
+
+    @staticmethod
+    def _order(key: LocalKey) -> tuple:
+        # canonical order: (eps, base, p, q)
+        return (key[3], key[0], key[1], key[2])
 
     # -- constructors -------------------------------------------------
 
@@ -334,9 +290,8 @@ class LocalElement:
 
     @staticmethod
     def base_monomial(exps: Mapping[int, int], coeff: ScalarPoly | None = None) -> "LocalElement":
-        key = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
         return LocalElement(
-            {(key, 0, 0, 0): coeff if coeff is not None else ScalarPoly.one()}
+            {(tuple(exps.items()), 0, 0, 0): coeff if coeff is not None else ScalarPoly.one()}
         )
 
     @staticmethod
@@ -360,53 +315,8 @@ class LocalElement:
 
     # -- structure -----------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[LocalKey, ScalarPoly]]:
-        return iter(
-            sorted(
-                self._terms.items(),
-                key=lambda kv: (kv[0][3], kv[0][0], kv[0][1], kv[0][2]),
-            )
-        )
-
-    def term_map(self) -> dict[LocalKey, ScalarPoly]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "LocalElement") -> "LocalElement":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, ScalarPoly.zero()) + c
-        return LocalElement(out)
-
-    def __sub__(self, other: "LocalElement") -> "LocalElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LocalElement":
-        return LocalElement({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c: ScalarPoly) -> "LocalElement":
-        return LocalElement({k: c * v for k, v in self._terms.items()})
-
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         return local_star(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LocalElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"LocalElement({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from .exprs import local_to_text
-
-        return local_to_text(self)
 
     def fiber_part(self) -> SrcElement:
         """The fiber element of a base-free input."""
@@ -421,45 +331,20 @@ class LocalElement:
 def _base_moyal(e1: BaseKey, e2: BaseKey) -> dict[BaseKey, ScalarPoly]:
     """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1."""
     d1, d2 = dict(e1), dict(e2)
-    pair_ids = sorted({v // 2 for v in d1} | {v // 2 for v in d2})
-    results: list[tuple[dict[int, int], dict[int, int], Fraction, int]] = [
-        (dict(d1), dict(d2), Fraction(1), 0)
-    ]
-    for i in pair_ids:
+    # partial products over the pairs seen so far: (base key, weight, h1 power)
+    results: list[tuple[BaseKey, Fraction, int]] = [((), Fraction(1), 0)]
+    for i in sorted({v // 2 for v in d1} | {v // 2 for v in d2}):
         pv, qv = 2 * i, 2 * i + 1
-        next_results = []
-        for f1, f2, w, h in results:
-            p1, q1 = f1.get(pv, 0), f1.get(qv, 0)
-            p2, q2 = f2.get(pv, 0), f2.get(qv, 0)
-            for a in range(min(p1, q2) + 1):
-                for b in range(min(q1, p2) + 1):
-                    count = Fraction(
-                        _falling(p1, a) * _falling(q1, b) * _falling(q2, a) * _falling(p2, b),
-                        2 ** (a + b) * _fact(a) * _fact(b),
-                    )
-                    if b % 2 == 1:
-                        count = -count
-                    g1 = dict(f1)
-                    g2 = dict(f2)
-                    g1[pv], g1[qv] = p1 - a, q1 - b
-                    g2[pv], g2[qv] = p2 - b, q2 - a
-                    next_results.append((g1, g2, w * count, h + a + b))
-        results = next_results
+        p1, q1, p2, q2 = d1.get(pv, 0), d1.get(qv, 0), d2.get(pv, 0), d2.get(qv, 0)
+        step = [
+            (((pv, p1 + p2 - a - b), (qv, q1 + q2 - a - b)), count / 2 ** (a + b), a + b)
+            for a, b, count in symmetric_weyl_terms(p1, q1, p2, q2)
+        ]
+        results = [(k + sk, w * sw, h + sh) for k, w, h in results for sk, sw, sh in step]
     out: dict[BaseKey, ScalarPoly] = {}
-    for f1, f2, w, h in results:
-        merged: dict[int, int] = {}
-        for v, e in list(f1.items()) + list(f2.items()):
-            merged[v] = merged.get(v, 0) + e
-        key = tuple(sorted((v, e) for v, e in merged.items() if e != 0))
-        c = ScalarPoly.monomial(GaussianRational.of(w), h, 0)
-        out[key] = out.get(key, ScalarPoly.zero()) + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= n - j
+    for key, w, h in results:
+        key = tuple((v, e) for v, e in key if e != 0)
+        accumulate(out, key, ScalarPoly.monomial(GaussianRational.of(w), h, 0))
     return out
 
 
@@ -474,14 +359,7 @@ def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
             )
             for bkey, bw in _base_moyal(b1, b2).items():
                 for (p, q, eps), fc in fiber.term_map().items():
-                    key = (bkey, p, q, eps)
-                    v = c * bw * fc
-                    s = out.get(key)
-                    s = v if s is None else s + v
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    accumulate(out, (bkey, p, q, eps), c * bw * fc)
     return LocalElement(out)
 
 
@@ -489,8 +367,7 @@ def fiber_fold(F: LocalElement) -> LocalElement:
     """Fold the fiber reflection generator onto 1 (corner identification)."""
     out: dict[LocalKey, ScalarPoly] = {}
     for (base, p, q, _eps), c in F.term_map().items():
-        key = (base, p, q, 0)
-        out[key] = out.get(key, ScalarPoly.zero()) + c
+        accumulate(out, (base, p, q, 0), c)
     return LocalElement(out)
 
 
@@ -507,12 +384,5 @@ def local_trace_density(F: LocalElement) -> LocalElement:
             raise ParityError(f"fiber part z^{p} zb^{q} is not invariant")
         if p != q:
             continue
-        key = (base, 0, 0, 0)
-        v = class_scalar(p) * c
-        s = out.get(key)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        accumulate(out, (base, 0, 0, 0), class_scalar(p) * c)
     return LocalElement(out)

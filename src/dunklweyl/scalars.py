@@ -81,24 +81,138 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
-class ScalarPoly:
-    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
+def accumulate(out: dict, key, value) -> None:
+    """Add value to out[key], dropping the entry when the sum is zero.
 
-    The h1 exponent may be negative, the h2 exponent may not.  Zero
-    coefficients are never stored; the zero polynomial has no terms.
+    The one place where a term map is summed into; values need `+` and
+    `is_zero`.
+    """
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class TermMap:
+    """Sparse map from monomial keys to nonzero coefficients.
+
+    The linear structure shared by every coefficient container.  A subclass
+    chooses how keys are checked (`_key`), the canonical term order
+    (`_order`), the zero coefficient returned for absent keys and the
+    printer in the exprs module.  Zero coefficients are never stored, and
+    instances are treated as immutable.
     """
 
     __slots__ = ("_terms",)
+    _printer: str  # name of the canonical printer in the exprs module
+    _zero_coeff: object  # the coefficient of an absent key
 
-    def __init__(self, terms: Mapping[tuple[int, int], GaussianRational] | None = None):
-        cleaned: dict[tuple[int, int], GaussianRational] = {}
+    def __init__(self, terms: Mapping | None = None):
+        cleaned: dict = {}
         if terms:
-            for (a, b), c in terms.items():
-                if b < 0:
-                    raise ValueError("h2 exponent must be non-negative")
-                if not c.is_zero():
-                    cleaned[(a, b)] = c
+            for key, c in terms.items():
+                key = self._key(key)
+                if key is not None:
+                    accumulate(cleaned, key, c)
         self._terms = cleaned
+
+    def _key(self, key):
+        """The checked, normalised form of a key; None drops the term."""
+        return key
+
+    @staticmethod
+    def _order(key):
+        """Sort key of a term key in canonical order."""
+        return key
+
+    def _new(self, terms: dict):
+        """An instance of this class around terms that are already clean."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    # -- queries -------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> Iterator:
+        """Terms in canonical order."""
+        order = self._order
+        return iter(sorted(self._terms.items(), key=lambda kv: order(kv[0])))
+
+    def term_map(self) -> dict:
+        return dict(self._terms)
+
+    def coefficient(self, key):
+        """The coefficient of one monomial; zero when it is absent."""
+        return self._terms.get(self._key(key), self._zero_coeff)
+
+    # -- linear structure ----------------------------------------------
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            accumulate(out, key, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def scale(self, c):
+        """Every coefficient times c (the coefficient ring has no zero divisors)."""
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: v * c for k, v in self._terms.items()})
+
+    def subs_h2_zero(self):
+        out: dict = {}
+        for key, c in self._terms.items():
+            accumulate(out, key, c.subs_h2_zero())
+        return self._new(out)
+
+    # -- protocol ------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def to_text(self) -> str:
+        from . import exprs
+
+        return getattr(exprs, self._printer)(self)
+
+
+class ScalarPoly(TermMap):
+    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
+
+    The h1 exponent may be negative, the h2 exponent may not.
+    """
+
+    __slots__ = ()
+    _printer = "scalar_to_text"
+    _zero_coeff = GR_ZERO
+
+    def _key(self, key: tuple[int, int]) -> tuple[int, int]:
+        _a, b = key
+        if b < 0:
+            raise ValueError("h2 exponent must be non-negative")
+        return key
 
     # -- constructors -------------------------------------------------
 
@@ -137,21 +251,11 @@ class ScalarPoly:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_one(self) -> bool:
         return self._terms == {(0, 0): GR_ONE}
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        """Terms in canonical lexicographic (h1, h2) order."""
-        return iter(sorted(self._terms.items()))
-
-    def coefficient(self, h1: int, h2: int) -> GaussianRational:
-        return self._terms.get((h1, h2), GR_ZERO)
-
     def constant_term(self) -> GaussianRational:
-        return self.coefficient(0, 0)
+        return self.coefficient((0, 0))
 
     def nonnegative_h1(self) -> bool:
         return all(a >= 0 for (a, _b) in self._terms)
@@ -168,36 +272,12 @@ class ScalarPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ScalarPoly(out)
-
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly({k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         out: dict[tuple[int, int], GaussianRational] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                s = out.get(key, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ScalarPoly(out)
-
-    def scale(self, c: GaussianRational) -> "ScalarPoly":
-        return ScalarPoly({k: v * c for k, v in self._terms.items()})
+                accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
+        return self._new(out)
 
     def pow(self, n: int) -> "ScalarPoly":
         if n < 0:
@@ -220,28 +300,7 @@ class ScalarPoly:
         return ScalarPoly({(-a, 0): c.inverse()})
 
     def subs_h2_zero(self) -> "ScalarPoly":
-        return ScalarPoly({k: c for k, c in self._terms.items() if k[1] == 0})
-
-    # -- protocol ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"ScalarPoly({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from .exprs import scalar_to_text
-
-        return scalar_to_text(self)
+        return self._new({k: c for k, c in self._terms.items() if k[1] == 0})
 
     def to_json(self) -> list:
         """Canonical JSON form: sorted [a, b, re_num, re_den, im_num, im_den]."""

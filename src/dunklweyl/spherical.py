@@ -13,11 +13,12 @@ the degeneration oracle at h2 = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from math import factorial, perm
+from typing import Iterable, Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
 
 PairKey = tuple[int, int]
 
@@ -30,22 +31,20 @@ class ExtractionError(RuntimeError):
     """Internal consistency failure: a product left the invariant corner."""
 
 
-class InvariantPoly:
+class InvariantPoly(TermMap):
     """Invariant polynomial: term map (p, q) -> ScalarPoly with p + q even."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _printer = "invariant_to_text"
+    _zero_coeff = ScalarPoly()
 
-    def __init__(self, terms: Mapping[PairKey, ScalarPoly] | None = None):
-        cleaned: dict[PairKey, ScalarPoly] = {}
-        if terms:
-            for (p, q), c in terms.items():
-                if p < 0 or q < 0:
-                    raise ValueError(f"bad exponents {(p, q)}")
-                if (p + q) % 2 != 0:
-                    raise ParityError(f"monomial z^{p} zb^{q} is not invariant")
-                if not c.is_zero():
-                    cleaned[(p, q)] = c
-        self._terms = cleaned
+    def _key(self, key: PairKey) -> PairKey:
+        p, q = key
+        if p < 0 or q < 0:
+            raise ValueError(f"bad exponents {(p, q)}")
+        if (p + q) % 2 != 0:
+            raise ParityError(f"monomial z^{p} zb^{q} is not invariant")
+        return key
 
     # -- constructors -------------------------------------------------
 
@@ -74,57 +73,18 @@ class InvariantPoly:
 
     # -- queries -------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[PairKey, ScalarPoly]]:
-        return iter(sorted(self._terms.items()))
-
-    def term_map(self) -> dict[PairKey, ScalarPoly]:
-        return dict(self._terms)
-
-    def coefficient(self, p: int, q: int) -> ScalarPoly:
-        return self._terms.get((p, q), ScalarPoly.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         return max((p + q for (p, q) in self._terms), default=0)
 
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other: "InvariantPoly") -> "InvariantPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return InvariantPoly(out)
-
-    def __sub__(self, other: "InvariantPoly") -> "InvariantPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "InvariantPoly":
-        return InvariantPoly({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c: ScalarPoly) -> "InvariantPoly":
-        return InvariantPoly({k: c * v for k, v in self._terms.items()})
+    # -- arithmetic ----------------------------------------------------
 
     def poly_mul(self, other: "InvariantPoly") -> "InvariantPoly":
         """Plain commutative polynomial product (no star corrections)."""
         out: dict[PairKey, ScalarPoly] = {}
         for (p1, q1), c1 in self._terms.items():
             for (p2, q2), c2 in other._terms.items():
-                key = (p1 + p2, q1 + q2)
-                s = out.get(key)
-                v = c1 * c2
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return InvariantPoly(out)
+                accumulate(out, (p1 + p2, q1 + q2), c1 * c2)
+        return self._new(out)
 
     def poly_pow(self, n: int) -> "InvariantPoly":
         out = InvariantPoly.one()
@@ -132,31 +92,9 @@ class InvariantPoly:
             out = out.poly_mul(self)
         return out
 
-    def subs_h2_zero(self) -> "InvariantPoly":
-        return InvariantPoly({k: c.subs_h2_zero() for k, c in self._terms.items()})
-
     def to_element(self) -> SrcElement:
         """The normal-form word with the same exponents (reflection-free)."""
         return SrcElement({(p, q, 0): c for (p, q), c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvariantPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((k, hash(c)) for k, c in self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"InvariantPoly({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from .exprs import invariant_to_text
-
-        return invariant_to_text(self)
 
     def to_json(self) -> list:
         return [{"z": p, "zb": q, "coeff": c.to_json()} for (p, q), c in self.terms()]
@@ -179,13 +117,7 @@ def _fold(e: SrcElement) -> InvariantPoly:
     for (p, q, _eps), c in e.term_map().items():
         if (p + q) % 2 != 0:
             raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
-        key = (p, q)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        accumulate(out, (p, q), c)
     return InvariantPoly(out)
 
 
@@ -218,13 +150,6 @@ def euler_derivation(g: InvariantPoly) -> InvariantPoly:
     return InvariantPoly(out)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
 def moyal_star(
     f: InvariantPoly, g: InvariantPoly, ordering: str = "standard"
 ) -> InvariantPoly:
@@ -252,11 +177,23 @@ def moyal_star(
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+def symmetric_weyl_terms(
+    p1: int, q1: int, p2: int, q2: int
+) -> Iterator[tuple[int, int, Fraction]]:
+    """The Weyl-symmetric product of x^p1 y^q1 and x^p2 y^q2, term by term.
+
+    With [x, y] = 2*s, the product is the sum over the yielded (a, b, count)
+    of count * s^(a+b) * x^(p1+p2-a-b) * y^(q1+q2-a-b): a contractions of
+    x on the left with y on the right, b of y on the left with x on the
+    right, weighted by falling factorials over a!*b! and the sign (-1)^b.
+    """
+    for a in range(min(p1, q2) + 1):
+        for b in range(min(q1, p2) + 1):
+            count = Fraction(
+                perm(p1, a) * perm(q1, b) * perm(q2, a) * perm(p2, b),
+                factorial(a) * factorial(b),
+            )
+            yield a, b, -count if b % 2 == 1 else count
 
 
 def _moyal_standard(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
@@ -266,16 +203,9 @@ def _moyal_standard(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
         for (p2, q2), c2 in g.term_map().items():
             base = c1 * c2
             for k in range(min(q1, p2) + 1):
-                count = Fraction(_falling(q1, k) * _falling(p2, k), _factorial(k))
+                count = Fraction(perm(q1, k) * perm(p2, k), factorial(k))
                 weight = minus_ih1.pow(k).scale(GaussianRational.of(count))
-                key = (p1 + p2 - k, q1 + q2 - k)
-                s = acc.get(key)
-                v = weight * base
-                s = v if s is None else s + v
-                if s.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
     return InvariantPoly(acc)
 
 
@@ -285,25 +215,9 @@ def _moyal_symmetric(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
     for (p1, q1), c1 in f.term_map().items():
         for (p2, q2), c2 in g.term_map().items():
             base = c1 * c2
-            for a in range(p1 + 1):
-                for b in range(q1 + 1):
-                    if b > p2 or a > q2:
-                        continue
-                    count = Fraction(
-                        _falling(p1, a) * _falling(q1, b) * _falling(q2, a) * _falling(p2, b),
-                        _factorial(a) * _factorial(b),
-                    )
-                    if b % 2 == 1:
-                        count = -count
-                    weight = ih1_half.pow(a + b).scale(GaussianRational.of(count))
-                    key = (p1 - a + p2 - b, q1 - b + q2 - a)
-                    s = acc.get(key)
-                    v = weight * base
-                    s = v if s is None else s + v
-                    if s.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
+            for a, b, count in symmetric_weyl_terms(p1, q1, p2, q2):
+                weight = ih1_half.pow(a + b).scale(GaussianRational.of(count))
+                accumulate(acc, (p1 + p2 - a - b, q1 + q2 - a - b), weight * base)
     return InvariantPoly(acc)
 
 

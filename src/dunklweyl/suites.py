@@ -90,7 +90,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        """True when at least one case ran and none failed."""
+        return bool(self.cases) and self.failed == 0
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,6 +17,7 @@ constructively, and the two routes are required to agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .scalars import GaussianRational, ScalarPoly, TruncSeries
 from .spherical import InvariantPoly, star, star_commutator
@@ -88,12 +89,6 @@ def ch_phi(order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [class_scalar(k).scale(GaussianRational.of(Fraction(1, _fact(k)))) for k in range(order + 1)]
+    coeffs = [class_scalar(k).scale(GaussianRational.of(Fraction(1, factorial(k)))) for k in range(order + 1)]
     return TruncSeries(coeffs, order)
 
-
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out

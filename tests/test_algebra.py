@@ -6,11 +6,11 @@ from fractions import Fraction
 from dunklweyl.algebra import (
     SrcElement,
     commutator,
-    from_xy,
     homogeneous_component,
     idempotent,
     mul,
 )
+from dunklweyl.exprs import parse_element
 from dunklweyl.scalars import GaussianRational, ScalarPoly
 
 
@@ -76,20 +76,22 @@ class TestRelations:
 
 
 class TestFromXY:
+    """Words in x = (z+zb)/2 and y = (z-zb)/(2i), read by the parser."""
+
     def test_yx_minus_xy(self):
-        got = from_xy([(ScalarPoly.one(), ["y", "x"]), (-ScalarPoly.one(), ["x", "y"])])
+        got = parse_element("y*x - x*y")
         half_h1 = ScalarPoly.monomial(GaussianRational.of(Fraction(1, 2)), 1, 0)
         h1h2 = ScalarPoly.monomial(GaussianRational.of(1), 1, 1)
         assert got == SrcElement.monomial(0, 0, 0, half_h1) + SrcElement.monomial(0, 0, 1, h1h2)
 
     def test_x_alone(self):
         half = ScalarPoly.from_rational(Fraction(1, 2))
-        assert from_xy([(ScalarPoly.one(), ["x"])]) == SrcElement(
+        assert parse_element("x") == SrcElement(
             {(1, 0, 0): half, (0, 1, 0): half}
         )
 
     def test_x2_plus_y2(self):
-        got = from_xy([(ScalarPoly.one(), ["x", "x"]), (ScalarPoly.one(), ["y", "y"])])
+        got = parse_element("x*x + y*y")
         # (z zb + zb z)/2 normalizes to z zb - i h1 (1 + 2 h2 g)/2
         want = (
             SrcElement.monomial(1, 1, 0)

@@ -4,8 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from dunklweyl.cli import main
+from dunklweyl.suites import RunConfig, run_suite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -87,6 +93,19 @@ class TestErrors:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["nf", "z", "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "trace", "--degree", "-1"],
+            ["verify", "--suite", "euler", "--degree", "-3"],
+            ["hh0", "--degree", "-2"],
+            ["verify", "--jobs", "0"],
+        ],
+    )
+    def test_run_that_checks_nothing_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
 
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
@@ -118,6 +137,10 @@ class TestVerify:
             assert code == 0
             outs.append(re.sub(r'"wall_ms": [0-9.]+', '"wall_ms": 0', out))
         assert outs[0] == outs[1]
+
+    def test_report_without_cases_is_not_ok(self):
+        report = run_suite("trace", RunConfig(degree=-1))
+        assert report.cases == [] and not report.ok
 
     def test_jobs_flag_gives_same_report(self, capsys):
         reports = []
@@ -168,3 +191,19 @@ class TestCertifyReplay:
         )
         assert check.returncode == 1
         assert check.stdout.strip() == "FAIL"
+
+
+def test_benchmark_tracer_wraps_every_entry_point():
+    """bench/tracer.py finds every function and method it times by name."""
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; "
+        "from tracer import Tracer, install; t = Tracer(); install(t); print(t.unwrapped)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -90,6 +90,12 @@ class TestStar:
             f, g = random_invariant(rng, 6), random_invariant(rng, 6)
             assert embed(star_commutator(f, g)) == commutator(embed(f), embed(g))
 
+    def test_embed_is_product_homomorphism(self):
+        monos = invariant_monomials(8)
+        for f in monos:
+            for g in monos:
+                assert embed(star(f, g)) == mul(embed(f), embed(g)), (f, g)
+
     def test_associativity_random(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -146,7 +152,7 @@ class TestMoyal:
         # ordering; probed through even elements: [z^2, zb^2] at first order
         z2, zb2 = M(2, 0), M(0, 2)
         sym = moyal_star(z2, zb2, "symmetric")
-        assert sym.coefficient(1, 1) == ih1(2)  # 2*2 * (i h1/2)
+        assert sym.coefficient((1, 1)) == ih1(2)  # 2*2 * (i h1/2)
 
     def test_degeneration_small(self):
         rng = random.Random(8)
