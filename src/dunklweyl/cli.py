@@ -140,8 +140,13 @@ def _run_command(args) -> int:
         return 0
     if args.command == "certify":
         if args.check:
-            with open(args.check, "r", encoding="utf-8") as fh:
-                cert = Certificate.from_json(fh.read())
+            try:
+                with open(args.check, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            cert = Certificate.from_json(text)
             ok = check_certificate(cert)
             _emit_value(args, "ok" if ok else "FAIL", {"ok": ok})
             return 0 if ok else 1

@@ -360,20 +360,21 @@ def _rat_str(f: Fraction) -> str:
 
 def _coeff_parts(c: GaussianRational) -> tuple[bool, list[str]]:
     """(is_negative, factor strings) for a Gaussian rational coefficient."""
-    if c.im == 0:
-        neg = c.re < 0
-        mag = abs(c.re)
+    re, im = c.re, c.im  # each read builds a Fraction
+    if im == 0:
+        neg = re < 0
+        mag = abs(re)
         return neg, [] if mag == 1 else [_rat_str(mag)]
-    if c.re == 0:
-        neg = c.im < 0
-        mag = abs(c.im)
+    if re == 0:
+        neg = im < 0
+        mag = abs(im)
         return neg, ["i"] if mag == 1 else [_rat_str(mag), "i"]
     # mixed coefficients keep their signs inside the parentheses
-    if c.im > 0:
-        im_part = "+i" if c.im == 1 else f"+{_rat_str(c.im)}*i"
+    if im > 0:
+        im_part = "+i" if im == 1 else f"+{_rat_str(im)}*i"
     else:
-        im_part = "-i" if c.im == -1 else f"-{_rat_str(abs(c.im))}*i"
-    return False, [f"({_rat_str(c.re)}{im_part})"]
+        im_part = "-i" if im == -1 else f"-{_rat_str(abs(im))}*i"
+    return False, [f"({_rat_str(re)}{im_part})"]
 
 
 def _append_power(parts: list[str], name: str, exp: int) -> None:

@@ -33,6 +33,16 @@ class Witness:
     right: InvariantPoly
 
 
+def _json_field(obj, key: str, kind: type):
+    """obj[key] of a certificate JSON object, checked to be of the given type."""
+    if not isinstance(obj, dict):
+        raise ValueError("certificate JSON: expected an object")
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate JSON: {key!r} must be a {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Witness that target - scalar*1 lies in the span of star commutators."""
@@ -60,18 +70,20 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
+        """Parse untrusted certificate JSON; a wrong shape raises ValueError."""
         from .exprs import parse_invariant, parse_scalar
 
+        witnesses = _json_field(data, "witnesses", list)
         return Certificate(
-            target=parse_invariant(data["target"]),
-            scalar=parse_scalar(data["scalar"]),
+            target=parse_invariant(_json_field(data, "target", str)),
+            scalar=parse_scalar(_json_field(data, "scalar", str)),
             witnesses=tuple(
                 Witness(
-                    coeff=parse_scalar(w["coeff"]),
-                    left=parse_invariant(w["left"]),
-                    right=parse_invariant(w["right"]),
+                    coeff=parse_scalar(_json_field(w, "coeff", str)),
+                    left=parse_invariant(_json_field(w, "left", str)),
+                    right=parse_invariant(_json_field(w, "right", str)),
                 )
-                for w in data["witnesses"]
+                for w in witnesses
             ),
         )
 

@@ -8,8 +8,8 @@ exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -29,51 +29,143 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational (r + s*i) / d held as three Python integers.
 
-    re: Fraction
-    im: Fraction
+    The triple is kept in lowest terms: gcd(r, s, d) == 1 and d > 0, so equal
+    values have equal triples and equal hashes.  Arithmetic uses integer
+    products and one gcd per result; Fraction appears only at the boundary,
+    in the constructor and in the `re` and `im` properties.
+    """
+
+    __slots__ = ("_r", "_s", "_d")
+
+    def __init__(self, re=0, im=0):
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        self._r = re.numerator * (d // re.denominator)
+        self._s = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(_frac(re), _frac(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._r, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._s, self._d)
+
+    # __add__ and __mul__ run once per coefficient sum and product of every
+    # engine layer, so they inline _reduced instead of calling it.
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1 = self._d
+        d2 = other._d
+        if d1 == d2:
+            r = self._r + other._r
+            s = self._s + other._s
+            d = d1
+        else:
+            r = self._r * d2 + other._r * d1
+            s = self._s * d2 + other._s * d1
+            d = d1 * d2
+        if d != 1:
+            g = gcd(r, s, d)
+            if g != 1:
+                r //= g
+                s //= g
+                d //= g
+        out = _new(GaussianRational)
+        out._r = r
+        out._s = s
+        out._d = d
+        return out
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out._r = -self._r
+        out._s = -self._s
+        out._d = self._d
+        return out
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        r1 = self._r
+        s1 = self._s
+        r2 = other._r
+        s2 = other._s
+        # Most engine coefficients are purely real or purely imaginary.
+        if not s1:
+            r = r1 * r2
+            s = r1 * s2
+        elif not r1:
+            r = -s1 * s2
+            s = s1 * r2
+        else:
+            r = r1 * r2 - s1 * s2
+            s = r1 * s2 + s1 * r2
+        d = self._d * other._d
+        if d != 1:
+            g = gcd(r, s, d)
+            if g != 1:
+                r //= g
+                s //= g
+                d //= g
+        out = _new(GaussianRational)
+        out._r = r
+        out._s = s
+        out._d = d
+        return out
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        r = self._r
+        s = self._s
+        norm = r * r + s * s
+        if not norm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        d = self._d
+        return _reduced(d * r, -d * s, norm)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._r and not self._s
 
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._r == other._r and self._s == other._s and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._r, self._s, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+
+_new = object.__new__
+
+
+def _reduced(r: int, s: int, d: int) -> GaussianRational:
+    """The Gaussian rational (r + s*i) / d, d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(r, s, d)
+        if g != 1:
+            r //= g
+            s //= g
+            d //= g
+    out = _new(GaussianRational)
+    out._r = r
+    out._s = s
+    out._d = d
+    return out
 
 
 GR_ZERO = GaussianRational.of(0)
@@ -304,10 +396,11 @@ class ScalarPoly(TermMap):
 
     def to_json(self) -> list:
         """Canonical JSON form: sorted [a, b, re_num, re_den, im_num, im_den]."""
-        return [
-            [a, b, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-            for (a, b), c in self.terms()
-        ]
+        out = []
+        for (a, b), c in self.terms():
+            re, im = c.re, c.im  # each read builds a Fraction
+            out.append([a, b, re.numerator, re.denominator, im.numerator, im.denominator])
+        return out
 
     @staticmethod
     def from_json(data: Iterable) -> "ScalarPoly":

@@ -193,11 +193,47 @@ class TestCertifyReplay:
         assert check.stdout.strip() == "FAIL"
 
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no such file
+            "[]",
+            '{"target": "z*zb", "witnesses": []}',
+            '{"target": "z*zb", "scalar": "0", '
+            '"witnesses": [{"coeff": "1", "left": 5, "right": "z*zb"}]}',
+            '{"target": "z*zb", "scalar": "0", "witnesses": 3}',
+        ],
+        ids=["missing-file", "top-level-list", "missing-scalar", "left-not-text", "witnesses-not-list"],
+    )
+    def test_malformed_certificate_is_usage_error(self, capsys, tmp_path, content):
+        cert_file = tmp_path / "cert.json"
+        if content is not None:
+            cert_file.write_text(content)
+        code, out, err = run_cli(capsys, "certify", "--check", str(cert_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        # a well-formed certificate with a wrong scalar is a failed check
+        good = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+        good["scalar"] += " + h1"
+        cert_file.write_text(json.dumps(good))
+        code, out, _ = run_cli(capsys, "certify", "--check", str(cert_file))
+        assert code == 1 and out.strip() == "FAIL"
+
+
 def test_benchmark_tracer_wraps_every_entry_point():
-    """bench/tracer.py finds every function and method it times by name."""
+    """bench/tracer.py finds every function and method it times by name.
+
+    The product of two scalars must also reach the traced Gaussian rational
+    product, which the benchmark's layer metrics count.
+    """
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]; "
-        "from tracer import Tracer, install; t = Tracer(); install(t); print(t.unwrapped)"
+        "from tracer import Tracer, install; t = Tracer(); install(t); print(t.unwrapped); "
+        "from dunklweyl.scalars import ScalarPoly; "
+        "a = ScalarPoly.from_rational(2, 1) + ScalarPoly.h1(); "
+        "b = ScalarPoly.from_rational(0, 3) + ScalarPoly.h2(); "
+        "assert a * b == b * a; "
+        "print(t.folded['scalars.GaussianRational.mul'][0])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
@@ -206,4 +242,6 @@ def test_benchmark_tracer_wraps_every_entry_point():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    unwrapped, gr_mul_calls = proc.stdout.split()
+    assert unwrapped == "[]"
+    assert int(gr_mul_calls) > 0

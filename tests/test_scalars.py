@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dunklweyl.scalars import (
     GaussianRational,
@@ -21,6 +24,101 @@ from tests.conftest import scalar_polys
 
 def sp(re, h1=0, h2=0, im=0):
     return ScalarPoly.monomial(GaussianRational.of(Fraction(re), Fraction(im)), h1, h2)
+
+
+@dataclass(frozen=True)
+class RefGaussianRational:
+    """Reference Gaussian rational re + im*i on a pair of Fractions."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, other):
+        return RefGaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return RefGaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return RefGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def inverse(self):
+        norm = self.re * self.re + self.im * self.im
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return RefGaussianRational(self.re / norm, -self.im / norm)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+
+# Small parts hit the equal-denominator and zero-part fast paths; wide ones
+# exceed 2^64 in numerator and denominator.
+wide_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80)),
+    st.one_of(st.integers(1, 6), st.integers(1, 2**80)),
+)
+
+
+def assert_matches(got: GaussianRational, want: RefGaussianRational) -> None:
+    r, s, d = got._r, got._s, got._d
+    assert d > 0 and gcd(r, s, d) == 1, (r, s, d)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+class TestGaussianRational:
+    @given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+    def test_agrees_with_fraction_reference(self, ar, ai, br, bi):
+        a, b = GaussianRational.of(ar, ai), GaussianRational.of(br, bi)
+        ra, rb = RefGaussianRational(ar, ai), RefGaussianRational(br, bi)
+        assert_matches(a, ra)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches(a * b, ra * rb)
+        assert_matches(-a, -ra)
+        assert a.is_zero() == ra.is_zero()
+        assert (a == b) == (ra == rb)
+        if a == b:
+            assert hash(a) == hash(b)
+        if not ra.is_zero():
+            assert_matches(a.inverse(), ra.inverse())
+            assert_matches(b / a, rb * ra.inverse())
+
+    @given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+    def test_cancelled_sum_is_the_same_value(self, ar, ai, br, bi):
+        a, b = GaussianRational.of(ar, ai), GaussianRational.of(br, bi)
+        back = (a + b) - b
+        assert back == a and hash(back) == hash(a)
+        assert (a - a) == GaussianRational.of(0) and (a - a).is_zero()
+
+    def test_equal_values_by_different_routes(self):
+        half = GaussianRational.of(Fraction(1, 2))
+        assert GaussianRational.of(Fraction(2, 4)) == half
+        assert hash(GaussianRational.of(Fraction(2, 4))) == hash(half)
+        third = GaussianRational.of(Fraction(1, 3), Fraction(-5, 6))
+        back = third + GaussianRational.of(Fraction(1, 6), 7) - GaussianRational.of(
+            Fraction(1, 6), 7
+        )
+        assert back == third and hash(back) == hash(third)
+        assert {third: 1}[back] == 1
+        assert (back._r, back._s, back._d) == (2, -5, 6)
+
+    def test_boundary_types(self):
+        with pytest.raises(TypeError):
+            GaussianRational.of(1.5)
+        with pytest.raises(TypeError):
+            GaussianRational.of(0, "1")
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational.of(0).inverse()
+        assert GaussianRational.of(0, Fraction(-3, 9)).im == Fraction(-1, 3)
 
 
 class TestScalarPoly:
