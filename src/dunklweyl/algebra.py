@@ -6,68 +6,67 @@ subject to
     z*zb - zb*z = i*h1*(1 + 2*h2*g),    g*z = -z*g,    g*zb = -zb*g,    g*g = 1.
 
 Every element has a unique normal form as a finite sum c * z^p * zb^q * g^eps.
-Multiplication rewrites zb*z -> z*zb - i*h1*(1+2*h2*g) until no inversions
-remain; the reordering of zb^q * z^p is memoized, keyed by (q, p).
+Multiplication reorders each zb^q * z^p by the Dunkl-operator action of zb on
+powers of z (see _reorder), with a bounded cache keyed by (q, p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
-# Memo tables for the rewriting engine.  Inserts are idempotent, so
-# concurrent readers sharing these tables are safe.
-_ZBQ_Z: dict[int, dict[TermKey, ScalarPoly]] = {}
-_REORDER: dict[tuple[int, int], dict[TermKey, ScalarPoly]] = {}
+# Keys (q, p) cached by _reorder; the suite battery touches about 200, all <= 14.
+REORDER_CACHE_SIZE = 512
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k as (re, im), by k % 4
 
 
-def _zbq_z(q: int) -> dict[TermKey, ScalarPoly]:
-    """Normal form of the word zb^q z, built one rewrite step at a time."""
-    cached = _ZBQ_Z.get(q)
-    if cached is not None:
-        return cached
-    if q == 0:
-        result = {(1, 0, 0): ScalarPoly.one()}
-        _ZBQ_Z[q] = result
-        return result
-    minus_ih1 = ScalarPoly.monomial(GaussianRational.of(0, -1), 1, 0)
-    out: dict[TermKey, ScalarPoly] = {}
-    for (a, b, eps), c in _zbq_z(q - 1).items():
-        if a == 0:
-            accumulate(out, (0, b + 1, eps), c)
-        else:
-            # zb * z * zb^b g^eps, one application of
-            # zb z -> z zb - i h1 (1 + 2 h2 g), with g zb^b = (-1)^b zb^b g
-            accumulate(out, (1, b + 1, eps), c)
-            accumulate(out, (0, b, eps), minus_ih1 * c)
-            two_h2 = ScalarPoly.monomial(GaussianRational.of(2 * (-1) ** b), 0, 1)
-            accumulate(out, (0, b, eps ^ 1), minus_ih1 * two_h2 * c)
-    _ZBQ_Z[q] = out
-    return out
+@lru_cache(maxsize=REORDER_CACHE_SIZE)
+def _reorder(q: int, p: int) -> tuple[tuple[TermKey, ScalarPoly], ...]:
+    """Normal form of the word zb^q z^p as (key, coefficient) pairs.
 
+    Starts from z^p and left-multiplies by zb q times.  On z^a zb^b g^e, zb
+    acts as the rank-one Dunkl operator:
 
-def _reorder(q: int, p: int) -> dict[TermKey, ScalarPoly]:
-    """Normal form of the word zb^q z^p as a term map, memoized by (q, p)."""
-    cached = _REORDER.get((q, p))
-    if cached is not None:
-        return cached
-    if q == 0 or p == 0:
-        result = {(p, q, 0): ScalarPoly.one()}
-        _REORDER[(q, p)] = result
-        return result
-    # zb^q z^p = (zb^q z) z^(p-1); normalize the tail of each resulting word.
-    out: dict[TermKey, ScalarPoly] = {}
-    for (a, b, eps), c in _zbq_z(q).items():
-        sign = -1 if (eps == 1 and (p - 1) % 2 == 1) else 1
-        cc = c if sign == 1 else -c
-        for (x, y, e2), r in _reorder(b, p - 1).items():
-            accumulate(out, (x + a, y, e2 ^ eps), cc * r)
-    _REORDER[(q, p)] = out
-    return out
+        zb z^a zb^b g^e = z^a zb^(b+1) g^e
+                          - i h1 a z^(a-1) zb^b g^e
+                          - 2 i h1 h2 (-1)^b [a odd] z^(a-1) zb^b g^(1-e).
+
+    After k Dunkl moves a term is z^(p-k) zb^(q-k) g^e with coefficient
+    (-i h1)^k times a polynomial in h2 with integer coefficients, so the loop
+    runs on {h2 power: int} maps and wraps them into scalars once at the end.
+    """
+    top = min(p, q)
+    polys: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(top + 1)]
+    polys[0][0][0] = 1
+    # Before each step polys[k][e] is the h2 polynomial of z^(p-k) zb^(step-k) g^e.
+    # The pass move leaves it where it is; the Dunkl move adds into k + 1, so k
+    # runs downwards and each source is read before this step adds to it.
+    for step in range(q):
+        for k in range(min(step, top - 1), -1, -1):
+            a = p - k
+            sign = -2 if (step - k) % 2 else 2
+            for e in (0, 1):
+                src = polys[k][e]
+                same = polys[k + 1][e]
+                for j, c in src.items():
+                    same[j] = same.get(j, 0) + a * c
+                if a % 2:
+                    flip = polys[k + 1][1 - e]
+                    for j, c in src.items():
+                        flip[j + 1] = flip.get(j + 1, 0) + sign * c
+    out = []
+    for k, pair in enumerate(polys):
+        re, im = _MINUS_I_POWERS[k % 4]
+        for e, poly in enumerate(pair):
+            coeff = {(k, j): GaussianRational.of(re * c, im * c) for j, c in poly.items() if c}
+            if coeff:
+                out.append(((p - k, q - k, e), ScalarPoly(coeff)))
+    return tuple(out)
 
 
 class SrcElement(TermMap):
@@ -178,7 +177,7 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
             # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
             if e1 == 1 and (p2 + q2) % 2 == 1:
                 c = -c
-            for (x_, y_, eps), r in _reorder(q1, p2).items():
+            for (x_, y_, eps), r in _reorder(q1, p2):
                 # the inner g (if any) still has to cross zb^q2
                 cc = c * r
                 if eps == 1 and q2 % 2 == 1:

@@ -170,12 +170,17 @@ class Hh0Report:
         }
 
 
+def check_report_degree(max_degree: int) -> None:
+    """Refuse to certify every monomial up to a degree above MAX_REPORT_DEGREE."""
+    if max_degree > MAX_REPORT_DEGREE:
+        raise ValueError(f"max_degree capped at {MAX_REPORT_DEGREE}")
+
+
 def hh0_report(max_degree: int) -> Hh0Report:
     """Certify every invariant monomial of degree <= max_degree against phi."""
     if max_degree % 2 != 0:
         raise ValueError("max_degree must be even")
-    if max_degree > MAX_REPORT_DEGREE:
-        raise ValueError(f"max_degree capped at {MAX_REPORT_DEGREE}")
+    check_report_degree(max_degree)
     entries = []
     for mono in invariant_monomials(max_degree):
         ((p, q), _c), = mono.terms()

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from . import exprs
 from .algebra import SrcElement, commutator, mul
-from .hochschild import check_certificate, reduce_certificate
+from .hochschild import check_certificate, check_report_degree, reduce_certificate
 from .index import inv_sinh_quotient
 from .scalars import (
     GaussianRational,
@@ -200,6 +200,7 @@ def suite_trace(cfg: RunConfig) -> Report:
 def suite_hh0(cfg: RunConfig) -> Report:
     """Certificates replay exactly and their scalars equal phi."""
     degree = cfg.degree if cfg.degree % 2 == 0 else cfg.degree - 1
+    check_report_degree(degree)
     work = []
     for m in invariant_monomials(degree):
         ((p, q), _c), = m.terms()

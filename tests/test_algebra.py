@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial, isqrt
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dunklweyl import algebra
 from dunklweyl.algebra import (
     SrcElement,
     commutator,
@@ -11,7 +17,7 @@ from dunklweyl.algebra import (
     mul,
 )
 from dunklweyl.exprs import parse_element
-from dunklweyl.scalars import GaussianRational, ScalarPoly
+from dunklweyl.scalars import GaussianRational, ScalarPoly, accumulate
 
 
 def ih1(mult=1, h2=0):
@@ -21,6 +27,54 @@ def ih1(mult=1, h2=0):
 Z = SrcElement.z
 ZB = SrcElement.zb
 G = SrcElement.gamma
+
+
+# -- reference reordering ----------------------------------------------------
+# The recursive rewriting the engine used before its Dunkl-step builder: one
+# application of zb z -> z zb - i h1 (1 + 2 h2 g) at a time, memoized by
+# (q, p).  It shares no code with algebra._reorder.
+
+
+@cache
+def ref_zbq_z(q):
+    """Normal form of the word zb^q z, built one rewrite step at a time."""
+    if q == 0:
+        return {(1, 0, 0): ScalarPoly.one()}
+    minus_ih1 = ScalarPoly.monomial(GaussianRational.of(0, -1), 1, 0)
+    out = {}
+    for (a, b, eps), c in ref_zbq_z(q - 1).items():
+        if a == 0:
+            accumulate(out, (0, b + 1, eps), c)
+        else:
+            # zb * z * zb^b g^eps, with g zb^b = (-1)^b zb^b g
+            accumulate(out, (1, b + 1, eps), c)
+            accumulate(out, (0, b, eps), minus_ih1 * c)
+            two_h2 = ScalarPoly.monomial(GaussianRational.of(2 * (-1) ** b), 0, 1)
+            accumulate(out, (0, b, eps ^ 1), minus_ih1 * two_h2 * c)
+    return out
+
+
+@cache
+def ref_reorder(q, p):
+    """Normal form of the word zb^q z^p as a term map, by recursion over p."""
+    if q == 0 or p == 0:
+        return {(p, q, 0): ScalarPoly.one()}
+    # zb^q z^p = (zb^q z) z^(p-1); normalize the tail of each resulting word
+    out = {}
+    for (a, b, eps), c in ref_zbq_z(q).items():
+        cc = -c if (eps == 1 and (p - 1) % 2 == 1) else c
+        for (x, y, e2), r in ref_reorder(b, p - 1).items():
+            accumulate(out, (x + a, y, e2 ^ eps), cc * r)
+    return out
+
+
+def check_against_reference(q, p):
+    ref = ref_reorder(q, p)
+    assert mul(ZB(q), Z(p)) == SrcElement(ref), (q, p)
+    # zb^q g z^p = (-1)^p zb^q z^p g: the g-sign path of mul
+    sign = ScalarPoly.from_rational((-1) ** p)
+    want = SrcElement({(a, b, e ^ 1): c * sign for (a, b, e), c in ref.items()})
+    assert mul(mul(ZB(q), G()), Z(p)) == want, (q, p)
 
 
 def random_element(rng, max_degree=8, allow_gamma=True):
@@ -175,3 +229,53 @@ class TestAlgebraProperties:
     def test_idempotent(self):
         e = idempotent()
         assert mul(e, e) == e
+
+
+class TestReorder:
+    """zb^q z^p built by Dunkl steps, against the recursive reference."""
+
+    def test_agrees_with_reference_exhaustively(self):
+        algebra._reorder.cache_clear()
+        for q in range(25):
+            for p in range(25):
+                check_against_reference(q, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 48), st.integers(0, 48))
+    def test_agrees_with_reference(self, q, p):
+        check_against_reference(q, p)
+
+    def test_h2_free_part_is_chu_vandermonde(self):
+        # at h2 = 0, zb^q z^p = sum_k k! C(q,k) C(p,k) (-i h1)^k z^(p-k) zb^(q-k)
+        minus_i_powers = ((1, 0), (0, -1), (-1, 0), (0, 1))
+        for q in range(31):
+            for p in range(31):
+                got = mul(ZB(q), Z(p)).subs_h2_zero()
+                keys = set()
+                for k in range(min(p, q) + 1):
+                    re, im = minus_i_powers[k % 4]
+                    n = factorial(k) * comb(q, k) * comb(p, k)
+                    coeff = got.coefficient((p - k, q - k, 0))
+                    assert coeff.term_map().keys() == {(k, 0)}, (q, p, k)
+                    c = coeff.coefficient((k, 0))
+                    assert (c.re, c.im) == (re * n, im * n), (q, p, k)
+                    keys.add((p - k, q - k, 0))
+                assert got.term_map().keys() == keys, (q, p)
+
+    def test_cache_is_bounded_and_immutable(self):
+        memos = [
+            name for name, value in vars(algebra).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        ]
+        assert memos == []
+        assert not hasattr(algebra, "_REORDER") and not hasattr(algebra, "_ZBQ_Z")
+        maxsize = algebra._reorder.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        for n in range(61):
+            parse_element(f"zb^{n}*z^{n}")
+        side = isqrt(maxsize) + 1  # side * side keys, more than maxsize
+        for q in range(side):
+            for p in range(side):
+                algebra._reorder(q, p)
+        assert algebra._reorder.cache_info().currsize <= maxsize
+        assert isinstance(algebra._reorder(3, 4), tuple)

@@ -106,6 +106,14 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err
 
+    @pytest.mark.parametrize("argv", [["hh0"], ["verify", "--suite", "hh0"]])
+    def test_hh0_degree_cap_is_shared(self, capsys, argv):
+        # both commands certify every monomial up to the degree, under one cap
+        code, _out, _err = run_cli(capsys, *argv, "--degree", "24")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--degree", "26")
+        assert code == 2 and out == "" and "error:" in err
+
 
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
