@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
 
@@ -160,12 +159,6 @@ class SrcElement(TermMap):
             {"z": p, "zb": q, "g": eps, "coeff": c.to_json()}
             for (p, q, eps), c in self.terms()
         ]
-
-    @staticmethod
-    def from_json(data: Iterable) -> "SrcElement":
-        return SrcElement(
-            {(t["z"], t["zb"], t["g"]): ScalarPoly.from_json(t["coeff"]) for t in data}
-        )
 
 
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:

@@ -18,7 +18,7 @@ from .hochschild import Certificate, check_certificate, hh0_report, reduce_certi
 from .index import FormPoly, index_form, local_trace_density
 from .scalars import NonInvertibleError, SeriesDomainError
 from .spherical import ExtractionError, ParityError, star
-from .suites import SUITE_NAMES, Case, Report, RunConfig, run_suite
+from .suites import SUITE_NAMES, RunConfig, run_suite
 from .trace import ch_phi, phi
 
 
@@ -42,8 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_format(p)
         p.add_argument(
             "--h2-zero", action="store_true", help="substitute h2 = 0 in the output"
         )
@@ -69,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="commutator certificate for an invariant monomial")
     p.add_argument("expr", nargs="?", help="monomial, e.g. 'z^2*zb^2'")
     p.add_argument("--check", metavar="FILE", help="replay a certificate JSON file instead")
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("hh0", help="certify all invariant monomials up to a degree")
     p.add_argument("--degree", type=_int_at_least(0), default=8)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("chphi", help="deformed character series coefficients")
     p.add_argument("--order", type=_int_at_least(0), default=6)
@@ -97,10 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_int_at_least(0), default=8)
     p.add_argument("--order", type=_int_at_least(0), default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--h2-zero", action="store_true")
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
+    add_format(p)
     return parser
 
 
@@ -112,7 +112,7 @@ def _emit_value(args, text_value: str, json_value) -> None:
 
 
 def _maybe_h2_zero(args, value):
-    return value.subs_h2_zero() if getattr(args, "h2_zero", False) else value
+    return value.subs_h2_zero() if args.h2_zero else value
 
 
 def _run_command(args) -> int:
@@ -199,24 +199,8 @@ def _run_command(args) -> int:
         _emit_value(args, exprs.local_to_text(density), _local_json(density))
         return 0
     if args.command == "verify":
-        cfg = RunConfig(
-            fmt=args.format,
-            degree=args.degree,
-            order=args.order,
-            seed=args.seed,
-            jobs=args.jobs,
-            h2_zero=args.h2_zero,
-        )
+        cfg = RunConfig(fmt=args.format, degree=args.degree, order=args.order, seed=args.seed)
         report = run_suite(args.suite, cfg)
-        if args.inject_failure and report.cases:
-            first = report.cases[0]
-            report = Report(
-                suite=report.suite,
-                cases=[Case(first.id, False, first.expected + " (injected)", first.actual)]
-                + report.cases[1:],
-                wall_ms=report.wall_ms,
-                config=report.config,
-            )
         print(report.to_json() if args.format == "json" else report.to_text())
         return 0 if report.ok else 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -150,10 +150,6 @@ class Hh0Report:
     def all_ok(self) -> bool:
         return bool(self.entries) and all(e.ok for e in self.entries)
 
-    @property
-    def failures(self) -> list[Hh0Entry]:
-        return [e for e in self.entries if not e.ok]
-
     def to_json_dict(self) -> dict:
         return {
             "max_degree": self.max_degree,

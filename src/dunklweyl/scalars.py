@@ -346,9 +346,6 @@ class ScalarPoly(TermMap):
     def is_one(self) -> bool:
         return self._terms == {(0, 0): GR_ONE}
 
-    def constant_term(self) -> GaussianRational:
-        return self.coefficient((0, 0))
-
     def nonnegative_h1(self) -> bool:
         return all(a >= 0 for (a, _b) in self._terms)
 
@@ -408,11 +405,6 @@ class ScalarPoly(TermMap):
         for a, b, rn, rd, imn, imd in data:
             terms[(a, b)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
         return ScalarPoly(terms)
-
-
-# i*h1, which shows up everywhere in the commutation relations.
-def i_h1(power: int = 1) -> ScalarPoly:
-    return ScalarPoly.monomial(GR_I, 0, 0).pow(power) * ScalarPoly.h1(power)
 
 
 class TruncSeries:

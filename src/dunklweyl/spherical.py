@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, perm
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
@@ -98,12 +98,6 @@ class InvariantPoly(TermMap):
 
     def to_json(self) -> list:
         return [{"z": p, "zb": q, "coeff": c.to_json()} for (p, q), c in self.terms()]
-
-    @staticmethod
-    def from_json(data: Iterable) -> "InvariantPoly":
-        return InvariantPoly(
-            {(t["z"], t["zb"]): ScalarPoly.from_json(t["coeff"]) for t in data}
-        )
 
 
 def embed(f: InvariantPoly) -> SrcElement:

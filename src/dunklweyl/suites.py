@@ -1,10 +1,11 @@
 """Named verification suites with machine-readable reports.
 
-Each suite is a list of cases; a case compares an engine computation against
-an expected canonical form (from the bundled data files where the expected
-value is a concrete constant, structurally otherwise).  Cases can run in
-parallel; reports are assembled in sorted case-id order so identical
-configurations produce identical reports.
+Each suite builds a list of cases; a case compares an engine computation
+against an expected canonical form (from the bundled data files where the
+expected value is a concrete constant, structurally otherwise).  run_suite
+builds the case lists of every requested suite, then runs the cases one after
+another; a case that raises is a failed case.  Reports list the cases in
+sorted case-id order, so identical configurations produce identical reports.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable
@@ -55,14 +55,16 @@ SUITE_NAMES = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the CLI and the suites; defaults are deterministic."""
+    """Knobs shared by the CLI and the suites; defaults are deterministic.
+
+    The report's config also carries "jobs": 1 and "h2_zero": false, fixed
+    values kept so that dunkl-report/1 stays byte-identical.
+    """
 
     fmt: str = "text"
     degree: int = 8
     order: int = 6
     seed: int = 0
-    jobs: int = 1
-    h2_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class Report:
         return {
             "schema": "dunkl-report/1",
             "suite": self.suite,
-            "config": asdict(self.config),
+            "config": {**asdict(self.config), "jobs": 1, "h2_zero": False},
             "cases": [asdict(c) for c in self.cases],
             "passed": self.passed,
             "failed": self.failed,
@@ -119,27 +121,7 @@ class Report:
 
 
 Thunk = Callable[[], tuple[bool, str, str]]
-
-
-def _run(suite: str, cfg: RunConfig, work: list[tuple[str, Thunk]]) -> Report:
-    start = time.perf_counter()
-
-    def run_one(item: tuple[str, Thunk]) -> Case:
-        case_id, thunk = item
-        try:
-            ok, expected, actual = thunk()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, expected, actual = False, "(no error)", f"{type(exc).__name__}: {exc}"
-        return Case(id=case_id, ok=ok, expected=expected, actual=actual)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            cases = list(pool.map(run_one, work))
-    else:
-        cases = [run_one(item) for item in work]
-    cases.sort(key=lambda c: c.id)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return Report(suite=suite, cases=cases, wall_ms=wall_ms, config=cfg)
+Work = list[tuple[str, Thunk]]
 
 
 def _load_data(name: str) -> dict:
@@ -155,10 +137,10 @@ def _eq_case(expected, actual) -> tuple[bool, str, str]:
 # -- individual suites ----------------------------------------------------
 
 
-def suite_relations(cfg: RunConfig) -> Report:
+def suite_relations(cfg: RunConfig) -> Work:
     """Defining relations and the commutator identities, from the data file."""
     data = _load_data("relations.json")
-    work: list[tuple[str, Thunk]] = []
+    work: Work = []
     for case in data["cases"]:
         cid, kind, args, expected = case["id"], case["op"], case["args"], case["expected"]
 
@@ -175,7 +157,7 @@ def suite_relations(cfg: RunConfig) -> Report:
             return _eq_case(expected, exprs.element_to_text(result))
 
         work.append((cid, thunk))
-    return _run("relations", cfg, work)
+    return work
 
 
 def _pairs_total_degree(limit: int) -> Iterable[tuple[InvariantPoly, InvariantPoly]]:
@@ -184,7 +166,7 @@ def _pairs_total_degree(limit: int) -> Iterable[tuple[InvariantPoly, InvariantPo
             yield m1, m2
 
 
-def suite_trace(cfg: RunConfig) -> Report:
+def suite_trace(cfg: RunConfig) -> Work:
     """phi vanishes on star commutators: all pairs of total degree <= degree."""
     work = []
     for m1, m2 in _pairs_total_degree(cfg.degree):
@@ -194,10 +176,10 @@ def suite_trace(cfg: RunConfig) -> Report:
             return _eq_case("0", trace_defect(m1, m2).to_text())
 
         work.append((cid, thunk))
-    return _run("trace", cfg, work)
+    return work
 
 
-def suite_hh0(cfg: RunConfig) -> Report:
+def suite_hh0(cfg: RunConfig) -> Work:
     """Certificates replay exactly and their scalars equal phi."""
     degree = cfg.degree if cfg.degree % 2 == 0 else cfg.degree - 1
     check_report_degree(degree)
@@ -213,10 +195,10 @@ def suite_hh0(cfg: RunConfig) -> Report:
             return _eq_case(phi(m).to_text(), cert.scalar.to_text())
 
         work.append((cid, thunk))
-    return _run("hh0", cfg, work)
+    return work
 
 
-def suite_degeneration(cfg: RunConfig) -> Report:
+def suite_degeneration(cfg: RunConfig) -> Work:
     """star at h2=0 equals the closed-form product, each factor <= degree."""
     monos = invariant_monomials(cfg.degree)
     work = []
@@ -230,10 +212,10 @@ def suite_degeneration(cfg: RunConfig) -> Report:
                 return _eq_case(rhs.to_text(), lhs.to_text())
 
             work.append((cid, thunk))
-    return _run("degeneration", cfg, work)
+    return work
 
 
-def suite_euler(cfg: RunConfig) -> Report:
+def suite_euler(cfg: RunConfig) -> Work:
     """Rotation weights: [m, z*zb] under star is i*h1*(p-q)*m, and matches
     the closed-form derivation."""
     zzb = InvariantPoly.zzbar()
@@ -250,10 +232,10 @@ def suite_euler(cfg: RunConfig) -> Report:
             return _eq_case(want.to_text(), got.to_text())
 
         work.append((cid, thunk))
-    return _run("euler", cfg, work)
+    return work
 
 
-def suite_chphi(cfg: RunConfig) -> Report:
+def suite_chphi(cfg: RunConfig) -> Work:
     """Character series coefficients against the data file and against phi of
     the plain powers of z*zb (the termwise-exponential oracle)."""
     data = _load_data("chphi.json")
@@ -280,7 +262,7 @@ def suite_chphi(cfg: RunConfig) -> Report:
 
         work.append((cid_a, thunk_a))
         work.append((cid_b, thunk_b))
-    return _run("chphi", cfg, work)
+    return work
 
 
 def _random_scalar(rng: random.Random, allow_negative_h1: bool = False) -> ScalarPoly:
@@ -313,11 +295,11 @@ def _random_unit_series(rng: random.Random, order: int) -> TruncSeries:
     return TruncSeries(coeffs, order)
 
 
-def suite_series(cfg: RunConfig) -> Report:
+def suite_series(cfg: RunConfig) -> Work:
     """Series layer: frozen inverse-sinh coefficients plus property oracles."""
     data = _load_data("series.json")
     order = 8
-    work: list[tuple[str, Thunk]] = []
+    work: Work = []
     quot = inv_sinh_quotient(order)
     for k_str, expected in sorted(data["inv_sinh_quotient"].items(), key=lambda kv: int(kv[0])):
         k = int(k_str)
@@ -349,14 +331,14 @@ def suite_series(cfg: RunConfig) -> Report:
         work.append((f"series-sqrt[{trial}]", sqrt_thunk))
         work.append((f"series-explog[{trial}]", exp_log_thunk))
         work.append((f"series-inverse[{trial}]", inv_thunk))
-    return _run("series", cfg, work)
+    return work
 
 
-def suite_roundtrip(cfg: RunConfig) -> Report:
+def suite_roundtrip(cfg: RunConfig) -> Work:
     """Parser round-trip on random engine elements plus algebra property
     checks (associativity and the Jacobi identity) on random triples."""
     rng = random.Random(cfg.seed)
-    work: list[tuple[str, Thunk]] = []
+    work: Work = []
     for trial in range(500):
         e = _random_element(rng)
 
@@ -389,10 +371,10 @@ def suite_roundtrip(cfg: RunConfig) -> Report:
             return total.is_zero(), "0", exprs.element_to_text(total)
 
         work.append((f"jacobi[{trial:02d}]", jacobi_thunk))
-    return _run("roundtrip", cfg, work)
+    return work
 
 
-_SUITES: dict[str, Callable[[RunConfig], Report]] = {
+_SUITES: dict[str, Callable[[RunConfig], Work]] = {
     "relations": suite_relations,
     "trace": suite_trace,
     "hh0": suite_hh0,
@@ -404,20 +386,29 @@ _SUITES: dict[str, Callable[[RunConfig], Report]] = {
 }
 
 
+def _run_case(case_id: str, thunk: Thunk) -> Case:
+    try:
+        ok, expected, actual = thunk()
+    except Exception as exc:  # a crash is a failure, not an abort
+        ok, expected, actual = False, "(no error)", f"{type(exc).__name__}: {exc}"
+    return Case(id=case_id, ok=ok, expected=expected, actual=actual)
+
+
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    """Run one named suite, or every suite when name is 'all'."""
-    if name == "all":
-        merged: list[Case] = []
-        start = time.perf_counter()
-        for sub in SUITE_NAMES:
-            rep = _SUITES[sub](cfg)
-            merged.extend(
-                Case(id=f"{sub}:{c.id}", ok=c.ok, expected=c.expected, actual=c.actual)
-                for c in rep.cases
-            )
-        merged.sort(key=lambda c: c.id)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return Report(suite="all", cases=merged, wall_ms=wall_ms, config=cfg)
-    if name not in _SUITES:
+    """Run one named suite, or every suite when name is 'all'.
+
+    Every case list is built before any case runs, so a suite that refuses
+    its configuration (the hh0 degree cap) stops the run before work starts.
+    """
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](cfg)
+    start = time.perf_counter()
+    if name == "all":
+        work = [
+            (f"{sub}:{cid}", thunk) for sub in SUITE_NAMES for cid, thunk in _SUITES[sub](cfg)
+        ]
+    else:
+        work = _SUITES[name](cfg)
+    cases = sorted((_run_case(cid, thunk) for cid, thunk in work), key=lambda c: c.id)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return Report(suite=name, cases=cases, wall_ms=wall_ms, config=cfg)

@@ -45,7 +45,7 @@ from dunklweyl.spherical import (
     star,
     star_commutator,
 )
-from dunklweyl.suites import RunConfig, _random_element, _random_unit_series, suite_relations
+from dunklweyl.suites import RunConfig, _random_element, _random_unit_series, run_suite
 from dunklweyl.trace import ch_phi, phi, recursion_scalar, star_power, trace_defect
 
 
@@ -55,7 +55,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_relation_suite():
     start = time.perf_counter()
-    rep = suite_relations(RunConfig())
+    rep = run_suite("relations", RunConfig())
     elapsed = time.perf_counter() - start
     ok = rep.ok and elapsed < 1.0
     report(1, ok, f"relation identities, {rep.passed}/{len(rep.cases)} in {elapsed:.3f}s")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dunklweyl import suites
 from dunklweyl.cli import main
 from dunklweyl.suites import RunConfig, run_suite
 
@@ -114,17 +115,67 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv, "--degree", "26")
         assert code == 2 and out == "" and "error:" in err
 
+    def test_degree_cap_refuses_before_any_case_runs(self, capsys, monkeypatch):
+        calls = []
+        original = suites.trace_defect
+
+        def counted(m1, m2):
+            calls.append((m1, m2))
+            return original(m1, m2)
+
+        monkeypatch.setattr(suites, "trace_defect", counted)
+        # the trace suite comes before hh0 in `all`; none of its cases may run
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--degree", "26")
+        assert code == 2 and out == "" and "error:" in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--jobs", "2"],
+            ["verify", "--h2-zero"],
+            ["verify", "--inject-failure"],
+            ["hh0", "--h2-zero"],
+            ["certify", "z*zb", "--h2-zero"],
+        ],
+        ids=["verify-jobs", "verify-h2-zero", "verify-inject-failure", "hh0-h2-zero", "certify-h2-zero"],
+    )
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+
 
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "relations")
         assert code == 0 and "28/28 passed" in out
 
-    def test_injected_failure_exits_1(self, capsys):
+    def test_injected_failure_exits_1(self, capsys, monkeypatch):
+        # a case whose computation raises is a failed case, not an abort
+        calls = []
+        original = suites.trace_defect
+
+        def flaky(m1, m2):
+            calls.append((m1.to_text(), m2.to_text()))
+            if calls[-1] == ("z*zb", "z^2"):
+                raise ArithmeticError("injected")
+            return original(m1, m2)
+
+        monkeypatch.setattr(suites, "trace_defect", flaky)
+        bad_id = "tracedefect[z*zb;z^2]"
+        code, out, _ = run_cli(capsys, "verify", "--suite", "trace", "--degree", "4")
+        assert code == 1
+        assert [l for l in out.splitlines() if "FAIL" in l] == [
+            f"  FAIL {bad_id}: expected (no error) ; got ArithmeticError: injected"
+        ]
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "relations", "--inject-failure"
+            capsys, "verify", "--suite", "trace", "--degree", "4", "--format", "json"
         )
-        assert code == 1 and "FAIL" in out
+        assert code == 1
+        cases = {c["id"]: c for c in json.loads(out)["cases"]}
+        assert cases.pop(bad_id)["actual"] == "ArithmeticError: injected"
+        assert len(calls) == 2 * (len(cases) + 1)
+        assert cases and all(c["ok"] for c in cases.values())
 
     def test_json_report_schema(self, capsys):
         code, out, _ = run_cli(
@@ -149,19 +200,6 @@ class TestVerify:
     def test_report_without_cases_is_not_ok(self):
         report = run_suite("trace", RunConfig(degree=-1))
         assert report.cases == [] and not report.ok
-
-    def test_jobs_flag_gives_same_report(self, capsys):
-        reports = []
-        for jobs in ("1", "4"):
-            code, out, _ = run_cli(
-                capsys, "verify", "--suite", "series", "--jobs", jobs, "--format", "json"
-            )
-            assert code == 0
-            data = json.loads(out)
-            data.pop("wall_ms")
-            data["config"].pop("jobs")
-            reports.append(data)
-        assert reports[0] == reports[1]
 
 
 class TestCertifyReplay:
