@@ -6,7 +6,7 @@ polynomials, the closed-form trace with constructive commutator
 certificates, characteristic-class generating functions, and a CLI.
 """
 
-from .algebra import SrcElement, commutator, homogeneous_component, idempotent, mul
+from .algebra import SrcElement, commutator, idempotent, mul
 from .hochschild import Certificate, Witness, check_certificate, hh0_report, reduce_certificate
 from .index import (
     FormPoly,
@@ -51,7 +51,6 @@ __all__ = [
     "embed",
     "euler_derivation",
     "hh0_report",
-    "homogeneous_component",
     "idempotent",
     "index_form",
     "inv_sinh_quotient",

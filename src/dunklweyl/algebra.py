@@ -146,14 +146,6 @@ class SrcElement(TermMap):
     def __mul__(self, other: "SrcElement") -> "SrcElement":
         return mul(self, other)
 
-    def pow(self, n: int) -> "SrcElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined in the algebra")
-        out = SrcElement.one()
-        for _ in range(n):
-            out = mul(out, self)
-        return out
-
     def to_json(self) -> list:
         return [
             {"z": p, "zb": q, "g": eps, "coeff": c.to_json()}
@@ -181,20 +173,6 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:
     return mul(a, b) - mul(b, a)
-
-
-def homogeneous_component(a: SrcElement, d: int) -> SrcElement:
-    """The degree-d part under the grading |z| = |zb| = 1, |h1| = 2, |h2| = |g| = 0."""
-    out: dict[TermKey, ScalarPoly] = {}
-    for (p, q, eps), c in a._terms.items():
-        kept = {
-            (h1, h2): coeff
-            for (h1, h2), coeff in c.terms()
-            if p + q + 2 * h1 == d
-        }
-        if kept:
-            out[(p, q, eps)] = ScalarPoly(kept)
-    return SrcElement(out)
 
 
 def idempotent() -> SrcElement:

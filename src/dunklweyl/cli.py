@@ -139,6 +139,8 @@ def _run_command(args) -> int:
         _emit_value(args, exprs.scalar_to_text(value), value.to_json())
         return 0
     if args.command == "certify":
+        if (args.expr is None) == (args.check is None):
+            raise ValueError("certify takes an expression or --check FILE, not both or neither")
         if args.check:
             try:
                 with open(args.check, "r", encoding="utf-8") as fh:
@@ -150,9 +152,6 @@ def _run_command(args) -> int:
             ok = check_certificate(cert)
             _emit_value(args, "ok" if ok else "FAIL", {"ok": ok})
             return 0 if ok else 1
-        if not args.expr:
-            print("certify: an expression or --check FILE is required", file=sys.stderr)
-            return 2
         f = exprs.parse_invariant(args.expr)
         terms = list(f.terms())
         if len(terms) != 1 or not terms[0][1].is_one():

@@ -274,55 +274,42 @@ def _eval_generic(node: Node, atom_fn):
     raise TypeError(f"unknown node {node!r}")
 
 
+def _element_atom(name: str, arg) -> SrcElement:
+    """The atom table of eval_element; the local model lifts it to the fiber."""
+    if name == "__num__":
+        return SrcElement.scalar(ScalarPoly.from_rational(arg))
+    if name == "__h1pow__":
+        return SrcElement.scalar(ScalarPoly.h1(arg))
+    if name == "i":
+        return SrcElement.scalar(ScalarPoly.i())
+    if name == "h1":
+        return SrcElement.scalar(ScalarPoly.h1())
+    if name == "h2":
+        return SrcElement.scalar(ScalarPoly.h2())
+    if name == "g":
+        return SrcElement.gamma()
+    if name == "z":
+        return SrcElement.z()
+    if name == "zb":
+        return SrcElement.zb()
+    if name == "x":
+        return SrcElement.x()
+    if name == "y":
+        return SrcElement.y()
+    raise EvalError(f"generator {name!r} needs the local model (use localtrace)")
+
+
 def eval_element(node: Node) -> SrcElement:
     """Evaluate a tree to a normal-form algebra element."""
-
-    def atom_fn(name: str, arg) -> SrcElement:
-        if name == "__num__":
-            return SrcElement.scalar(ScalarPoly.from_rational(arg))
-        if name == "__h1pow__":
-            return SrcElement.scalar(ScalarPoly.h1(arg))
-        if name == "i":
-            return SrcElement.scalar(ScalarPoly.i())
-        if name == "h1":
-            return SrcElement.scalar(ScalarPoly.h1())
-        if name == "h2":
-            return SrcElement.scalar(ScalarPoly.h2())
-        if name == "g":
-            return SrcElement.gamma()
-        if name == "z":
-            return SrcElement.z()
-        if name == "zb":
-            return SrcElement.zb()
-        if name == "x":
-            return SrcElement.x()
-        if name == "y":
-            return SrcElement.y()
-        raise EvalError(f"generator {name!r} needs the local model (use localtrace)")
-
-    return _eval_generic(node, atom_fn)
+    return _eval_generic(node, _element_atom)
 
 
 def eval_local(node: Node, n_pairs: int) -> LocalElement:
     """Evaluate a tree in the local model with n_pairs base pairs."""
 
     def atom_fn(name: str, arg) -> LocalElement:
-        if name == "__num__":
-            return LocalElement.scalar(ScalarPoly.from_rational(arg))
-        if name == "__h1pow__":
-            return LocalElement.scalar(ScalarPoly.h1(arg))
-        if name in ("i", "h1", "h2"):
-            scal = {"i": ScalarPoly.i(), "h1": ScalarPoly.h1(), "h2": ScalarPoly.h2()}
-            return LocalElement.scalar(scal[name])
-        if name in ("g", "z", "zb", "x", "y"):
-            fib = {
-                "g": SrcElement.gamma(),
-                "z": SrcElement.z(),
-                "zb": SrcElement.zb(),
-                "x": SrcElement.x(),
-                "y": SrcElement.y(),
-            }
-            return LocalElement.from_fiber(fib[name])
+        if name[0] not in "pq":
+            return LocalElement.from_fiber(_element_atom(name, arg))
         kind, idx = name[0], int(name[1:])
         if idx < 1 or idx > n_pairs:
             raise EvalError(f"base pair index out of range: {name} (n gives {n_pairs} pairs)")

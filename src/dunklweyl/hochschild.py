@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .scalars import GaussianRational, ScalarPoly
 from .spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
@@ -131,14 +130,32 @@ def check_certificate(cert: Certificate) -> bool:
 
 @dataclass(frozen=True)
 class Hh0Entry:
+    """One monomial's certificate scalar, replay verdict and trace, as text."""
+
     monomial: str
     scalar: str
     checked: bool
-    matches_phi: bool
+    phi: str
+
+    @property
+    def matches_phi(self) -> bool:
+        return self.scalar == self.phi
 
     @property
     def ok(self) -> bool:
         return self.checked and self.matches_phi
+
+
+def certify_monomial(m: InvariantPoly) -> Hh0Entry:
+    """Certify one invariant monomial: one certificate, one replay, one phi."""
+    ((p, q), _c), = m.terms()
+    cert = reduce_certificate(p, q)
+    return Hh0Entry(
+        monomial=m.to_text(),
+        scalar=cert.scalar.to_text(),
+        checked=check_certificate(cert),
+        phi=phi(m).to_text(),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,16 +194,5 @@ def hh0_report(max_degree: int) -> Hh0Report:
     if max_degree % 2 != 0:
         raise ValueError("max_degree must be even")
     check_report_degree(max_degree)
-    entries = []
-    for mono in invariant_monomials(max_degree):
-        ((p, q), _c), = mono.terms()
-        cert = reduce_certificate(p, q)
-        entries.append(
-            Hh0Entry(
-                monomial=mono.to_text(),
-                scalar=cert.scalar.to_text(),
-                checked=check_certificate(cert),
-                matches_phi=cert.scalar == phi(mono),
-            )
-        )
-    return Hh0Report(max_degree=max_degree, entries=tuple(entries))
+    entries = tuple(certify_monomial(m) for m in invariant_monomials(max_degree))
+    return Hh0Report(max_degree=max_degree, entries=entries)

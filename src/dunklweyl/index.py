@@ -4,7 +4,10 @@ Curvature data enters as abstract commuting symbols of form degree 2 living
 in a FormPoly truncated by total form degree, so all exponentials are finite
 sums.  The degree-(n-1) index form multiplies one inverse-sinh factor per
 tangent eigenvalue pair, the exponential of -theta/h1, and the deformed
-character genus of the normal symbol, then extracts the top component.
+character genus of the normal symbol, then extracts the top component.  All
+three factors are truncated series (a_hat_factor, series_exp and the trace
+module's ch_phi) evaluated at a nilpotent form by eval_series_at_form, which
+is scalars.power_sum with FormPoly.one as the unit.
 
 The local model is the Weyl algebra on n-1 base pairs (p_i, q_i) with
 [p_i, q_j] = h1*delta_ij tensored with the reflection algebra in the fiber
@@ -26,10 +29,12 @@ from .scalars import (
     TermMap,
     TruncSeries,
     accumulate,
+    power_sum,
+    series_exp,
     series_inverse,
 )
 from .spherical import ParityError, symmetric_weyl_terms
-from .trace import class_scalar, step_factor
+from .trace import ch_phi, class_scalar
 
 SymKey = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 
@@ -126,12 +131,6 @@ class FormPoly(TermMap):
                     accumulate(out, key, c1 * c2)
         return FormPoly(out, deg)
 
-    def pow(self, n: int) -> "FormPoly":
-        out = FormPoly.one(self.max_form_degree)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __repr__(self) -> str:
         return f"FormPoly({self.to_text()}, max_form_degree={self.max_form_degree})"
 
@@ -168,47 +167,27 @@ def eval_series_at_form(series: TruncSeries, s: FormPoly) -> FormPoly:
     """Substitute a nilpotent form for the series variable (finite sum)."""
     if not s.degree_zero_part().is_zero():
         raise ValueError("form substituted into a series must have no degree-0 part")
-    out = FormPoly.zero(s.max_form_degree)
-    power = FormPoly.one(s.max_form_degree)
     top = min(series.order, s.max_form_degree // 2)
-    for k in range(top + 1):
-        out = out + power.scale(series.coeffs[k])
-        power = power * s
-    return out
+    return power_sum(series.coeffs[: top + 1], s, FormPoly.one(s.max_form_degree))
 
 
 def ch_exp(symbol: FormPoly, scale: ScalarPoly) -> FormPoly:
     """exp(scale * symbol), a finite sum by nilpotency."""
-    if not symbol.degree_zero_part().is_zero():
-        raise ValueError("exponential argument must have no degree-0 part")
-    out = FormPoly.one(symbol.max_form_degree)
-    term = FormPoly.one(symbol.max_form_degree)
-    scaled = symbol.scale(scale)
-    for k in range(1, symbol.max_form_degree // 2 + 1):
-        term = (term * scaled).scale(ScalarPoly.from_rational(Fraction(1, k)))
-        out = out + term
-    return out
+    order = symbol.max_form_degree // 2
+    return eval_series_at_form(series_exp(TruncSeries.x(order)), symbol.scale(scale))
 
 
 def ch_phi_form(rn: FormPoly | None, max_form_degree: int) -> FormPoly:
-    """Deformed character genus sum_k (i*rn)^k/k! * prod_l(step factors).
+    """Deformed character genus: the character series ch_phi at t = rn/h1.
 
     The h1 of the character series cancels against the 1/h1 carried by the
     argument, leaving an h2-deformed genus in the bare symbol.
     """
     if rn is None or rn.is_zero():
         return FormPoly.one(max_form_degree)
-    out = FormPoly.one(max_form_degree)
-    power = FormPoly.one(max_form_degree)
-    prod = ScalarPoly.one()
-    i_pow = GaussianRational.of(1)
-    for k in range(1, max_form_degree // 2 + 1):
-        power = power * rn
-        prod = prod * step_factor(k)
-        i_pow = i_pow * GaussianRational.of(0, 1)
-        coeff = prod.scale(i_pow).scale(GaussianRational.of(Fraction(1, factorial(k))))
-        out = out + power.scale(coeff)
-    return out
+    # the product with one truncates t at the smaller of the two degrees
+    t = FormPoly.one(max_form_degree) * rn.scale(ScalarPoly.h1(-1))
+    return eval_series_at_form(ch_phi(max_form_degree // 2), t)
 
 
 def index_form(
@@ -317,15 +296,6 @@ class LocalElement(TermMap):
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         return local_star(self, other)
-
-    def fiber_part(self) -> SrcElement:
-        """The fiber element of a base-free input."""
-        out: dict[tuple[int, int, int], ScalarPoly] = {}
-        for (base, p, q, eps), c in self._terms.items():
-            if base:
-                raise ValueError("element has base variables")
-            out[(p, q, eps)] = c
-        return SrcElement(out)
 
 
 def _base_moyal(e1: BaseKey, e2: BaseKey) -> dict[BaseKey, ScalarPoly]:

@@ -9,7 +9,7 @@ exact; there is no floating point anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -322,10 +322,6 @@ class ScalarPoly(TermMap):
         return ScalarPoly({(0, 0): GaussianRational.of(x, y)})
 
     @staticmethod
-    def gaussian(c: GaussianRational) -> "ScalarPoly":
-        return ScalarPoly({(0, 0): c})
-
-    @staticmethod
     def i() -> "ScalarPoly":
         return ScalarPoly({(0, 0): GR_I})
 
@@ -346,18 +342,8 @@ class ScalarPoly(TermMap):
     def is_one(self) -> bool:
         return self._terms == {(0, 0): GR_ONE}
 
-    def nonnegative_h1(self) -> bool:
-        return all(a >= 0 for (a, _b) in self._terms)
-
     def h2_bounded_by_h1(self) -> bool:
         return all(b <= a for (a, b) in self._terms)
-
-    def h1_range(self) -> tuple[int, int]:
-        """(min, max) h1 exponent; (0, 0) for the zero polynomial."""
-        if not self._terms:
-            return (0, 0)
-        exps = [a for (a, _b) in self._terms]
-        return (min(exps), max(exps))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -484,61 +470,54 @@ class TruncSeries:
 
     def scale_argument(self, c: ScalarPoly) -> "TruncSeries":
         """Substitute x -> c*x, i.e. multiply coeffs[k] by c^k."""
-        out = []
-        power = ScalarPoly.one()
-        for a in self.coeffs:
-            out.append(power * a)
-            power = power * c
-        return TruncSeries(out, self.order)
+        return TruncSeries([c.pow(k) * a for k, a in enumerate(self.coeffs)], self.order)
+
+
+def power_sum(coeffs: list, u, one):
+    """sum_k coeffs[k] * u^k: the one loop that evaluates a series at u.
+
+    u and one (its unit) lie in a ring with `+`, `*` and `scale` by a
+    ScalarPoly, here TruncSeries or FormPoly; coeffs must not be empty.
+    """
+    out = one.scale(coeffs[0])
+    power = one
+    for c in coeffs[1:]:
+        power = power * u
+        if not c.is_zero():
+            out = out + power.scale(c)
+    return out
+
+
+def _rational_power_sum(fracs: Iterable[Fraction], u: TruncSeries) -> TruncSeries:
+    coeffs = [ScalarPoly.from_rational(f) for f in fracs]
+    return power_sum(coeffs, u, TruncSeries.one(u.order))
 
 
 def series_exp(s: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, by summing s^k / k!."""
     if not s.coeffs[0].is_zero():
         raise SeriesDomainError("series_exp needs a zero constant term")
-    result = TruncSeries.one(s.order)
-    term = TruncSeries.one(s.order)
-    for k in range(1, s.order + 1):
-        term = (term * s).scale(ScalarPoly.from_rational(Fraction(1, k)))
-        result = result + term
-    return result
+    return _rational_power_sum((Fraction(1, factorial(k)) for k in range(s.order + 1)), s)
 
 
 def series_log(s: TruncSeries) -> TruncSeries:
     """log of a series with constant term 1 (the exp oracle's inverse)."""
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_log needs constant term 1")
-    u = s - TruncSeries.one(s.order)
-    result = TruncSeries.zero(s.order)
-    power = TruncSeries.one(s.order)
-    for k in range(1, s.order + 1):
-        power = power * u
-        sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
-        result = result + power.scale(ScalarPoly.from_rational(sign))
-    return result
-
-
-def _half_binomial(k: int) -> Fraction:
-    # binomial(1/2, k) = (1/2)(1/2 - 1)...(1/2 - k + 1) / k!
-    num = Fraction(1)
-    for j in range(k):
-        num *= Fraction(1, 2) - j
-    for j in range(1, k + 1):
-        num /= j
-    return num
+    fracs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, s.order + 1)]
+    return _rational_power_sum(fracs, s - TruncSeries.one(s.order))
 
 
 def series_sqrt(s: TruncSeries) -> TruncSeries:
     """Square root of a series with constant term 1, via the binomial series."""
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_sqrt needs constant term 1")
-    u = s - TruncSeries.one(s.order)
-    result = TruncSeries.zero(s.order)
-    power = TruncSeries.one(s.order)
-    for k in range(s.order + 1):
-        result = result + power.scale(ScalarPoly.from_rational(_half_binomial(k)))
-        power = power * u
-    return result
+    # binomial(1/2, k) = (-1)^(k+1) * C(2k, k) / (4^k * (2k - 1))
+    fracs = (
+        Fraction((-1) ** (k + 1) * comb(2 * k, k), 4**k * (2 * k - 1))
+        for k in range(s.order + 1)
+    )
+    return _rational_power_sum(fracs, s - TruncSeries.one(s.order))
 
 
 def series_inverse(s: TruncSeries) -> TruncSeries:

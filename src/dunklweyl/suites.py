@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 from . import exprs
 from .algebra import SrcElement, commutator, mul
-from .hochschild import check_certificate, check_report_degree, reduce_certificate
+from .hochschild import certify_monomial, check_report_degree
 from .index import inv_sinh_quotient
 from .scalars import (
     GaussianRational,
@@ -188,11 +188,11 @@ def suite_hh0(cfg: RunConfig) -> Work:
         ((p, q), _c), = m.terms()
         cid = f"hh0[z^{p}*zb^{q}]"
 
-        def thunk(m=m, p=p, q=q):
-            cert = reduce_certificate(p, q)
-            if not check_certificate(cert):
+        def thunk(m=m):
+            entry = certify_monomial(m)
+            if not entry.checked:
                 return False, "replay ok", "replay failed"
-            return _eq_case(phi(m).to_text(), cert.scalar.to_text())
+            return _eq_case(entry.phi, entry.scalar)
 
         work.append((cid, thunk))
     return work

@@ -27,6 +27,12 @@ def scalar_polys(draw, min_h1=0, max_h1=2, max_h2=2, max_terms=3):
     return ScalarPoly(terms)
 
 
+def h1_range(sp: ScalarPoly) -> tuple[int, int]:
+    """(min, max) h1 exponent of a scalar; (0, 0) for the zero polynomial."""
+    exps = [a for a, _b in sp.term_map()]
+    return (min(exps), max(exps)) if exps else (0, 0)
+
+
 @pytest.fixture
 def half() -> ScalarPoly:
     return ScalarPoly.from_rational(Fraction(1, 2))

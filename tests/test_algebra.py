@@ -12,7 +12,6 @@ from dunklweyl import algebra
 from dunklweyl.algebra import (
     SrcElement,
     commutator,
-    homogeneous_component,
     idempotent,
     mul,
 )
@@ -22,6 +21,16 @@ from dunklweyl.scalars import GaussianRational, ScalarPoly, accumulate
 
 def ih1(mult=1, h2=0):
     return ScalarPoly.monomial(GaussianRational.of(0, Fraction(mult)), 1, h2)
+
+
+def homogeneous_component(a: SrcElement, d: int) -> SrcElement:
+    """The degree-d part under the grading |z| = |zb| = 1, |h1| = 2, |h2| = |g| = 0."""
+    out = {}
+    for (p, q, eps), c in a.term_map().items():
+        kept = {(h1, h2): coeff for (h1, h2), coeff in c.terms() if p + q + 2 * h1 == d}
+        if kept:
+            out[(p, q, eps)] = ScalarPoly(kept)
+    return SrcElement(out)
 
 
 Z = SrcElement.z

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dunklweyl import suites
+from dunklweyl import hochschild, suites
 from dunklweyl.cli import main
 from dunklweyl.suites import RunConfig, run_suite
 
@@ -144,6 +144,16 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err
 
+    @pytest.mark.parametrize("with_expr", [False, True], ids=["neither", "both"])
+    def test_certify_needs_expression_or_check(self, capsys, tmp_path, with_expr):
+        # exactly one of an expression and --check FILE; the file is a valid
+        # certificate, so ignoring the expression would exit 0
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(run_cli(capsys, "certify", "z*zb")[1])
+        argv = ["certify", "z^2*zb^2", "--check", str(cert_file)] if with_expr else ["certify"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
@@ -175,6 +185,26 @@ class TestVerify:
         cases = {c["id"]: c for c in json.loads(out)["cases"]}
         assert cases.pop(bad_id)["actual"] == "ArithmeticError: injected"
         assert len(calls) == 2 * (len(cases) + 1)
+        assert cases and all(c["ok"] for c in cases.values())
+
+    def test_hh0_command_and_suite_share_one_replay(self, capsys, monkeypatch):
+        # a replay failure injected into hochschild reaches both front ends
+        original = hochschild.check_certificate
+
+        def failing(cert):
+            return cert.target.to_text() != "z^2*zb^2" and original(cert)
+
+        monkeypatch.setattr(hochschild, "check_certificate", failing)
+        code, out, _ = run_cli(capsys, "hh0", "--degree", "4")
+        assert code == 1
+        fails = [l for l in out.splitlines() if l.startswith("FAIL ")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL [z^2*zb^2] = ")
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "hh0", "--degree", "4", "--format", "json"
+        )
+        assert code == 1
+        cases = {c["id"]: c for c in json.loads(out)["cases"]}
+        assert cases.pop("hh0[z^2*zb^2]")["actual"] == "replay failed"
         assert cases and all(c["ok"] for c in cases.values())
 
     def test_json_report_schema(self, capsys):

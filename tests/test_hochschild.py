@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from dunklweyl.hochschild import (
     Certificate,
+    certify_monomial,
     check_certificate,
     hh0_report,
     reduce_certificate,
@@ -13,6 +15,7 @@ from dunklweyl.hochschild import (
 from dunklweyl.scalars import ScalarPoly
 from dunklweyl.spherical import InvariantPoly, ParityError, invariant_monomials
 from dunklweyl.trace import class_scalar, phi
+from tests.conftest import h1_range
 
 
 class TestReduce:
@@ -47,7 +50,7 @@ class TestReduce:
         for m in invariant_monomials(12):
             ((p, q), _c), = m.terms()
             for w in reduce_certificate(p, q).witnesses:
-                lo, _hi = w.coeff.h1_range()
+                lo, _hi = h1_range(w.coeff)
                 assert lo >= -1
 
 
@@ -105,3 +108,11 @@ class TestReport:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             hh0_report(5)
+
+    def test_certify_monomial_record(self):
+        entry = certify_monomial(InvariantPoly.monomial(2, 2))
+        assert entry.monomial == "z^2*zb^2" and entry.checked
+        assert entry.scalar == entry.phi == phi(InvariantPoly.monomial(2, 2)).to_text()
+        assert entry.ok
+        wrong = replace(entry, phi="0")
+        assert not wrong.matches_phi and not wrong.ok

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from dunklweyl.algebra import SrcElement
 from dunklweyl.index import (
     FormPoly,
     LocalElement,
@@ -19,11 +21,20 @@ from dunklweyl.index import (
 )
 from dunklweyl.scalars import GaussianRational, ScalarPoly, TruncSeries
 from dunklweyl.spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
-from dunklweyl.trace import phi
+from dunklweyl.trace import phi, step_factor
 
 
 def rat(x):
     return ScalarPoly.from_rational(Fraction(x))
+
+
+def fiber_part(le: LocalElement) -> SrcElement:
+    """The fiber element of a base-free local element."""
+    out = {}
+    for (base, p, q, eps), c in le.term_map().items():
+        assert not base, "element has base variables"
+        out[(p, q, eps)] = c
+    return SrcElement(out)
 
 
 class TestAHat:
@@ -104,8 +115,75 @@ class TestFormCalculus:
         acc = GaussianRational.of(1)
         for k in range(5):
             c = got.coefficient((("N", k),) if k else ())
-            assert c == ScalarPoly.gaussian(acc), f"k={k}"
+            assert c == ScalarPoly.monomial(acc), f"k={k}"
             acc = acc * i_half
+
+
+# -- reference genus factors -------------------------------------------------
+# The loops the engine used before both factors went through the shared power
+# sum: a term recurrence for the exponential and a running product of step
+# factors for the character genus.  Neither calls eval_series_at_form.
+
+
+def ref_ch_exp(symbol: FormPoly, scale: ScalarPoly) -> FormPoly:
+    out = FormPoly.one(symbol.max_form_degree)
+    term = FormPoly.one(symbol.max_form_degree)
+    scaled = symbol.scale(scale)
+    for k in range(1, symbol.max_form_degree // 2 + 1):
+        term = (term * scaled).scale(ScalarPoly.from_rational(Fraction(1, k)))
+        out = out + term
+    return out
+
+
+def ref_ch_phi_form(rn: FormPoly | None, max_form_degree: int) -> FormPoly:
+    if rn is None or rn.is_zero():
+        return FormPoly.one(max_form_degree)
+    out = FormPoly.one(max_form_degree)
+    power = FormPoly.one(max_form_degree)
+    prod = ScalarPoly.one()
+    i_pow = GaussianRational.of(1)
+    for k in range(1, max_form_degree // 2 + 1):
+        power = power * rn
+        prod = prod * step_factor(k)
+        i_pow = i_pow * GaussianRational.of(0, 1)
+        coeff = prod.scale(i_pow).scale(GaussianRational.of(Fraction(1, factorial(k))))
+        out = out + power.scale(coeff)
+    return out
+
+
+def two_symbol_form(max_form_degree: int) -> FormPoly:
+    """N + (2 + h2)*M: two symbols, so powers have mixed terms."""
+    n = FormPoly.symbol("N", max_form_degree)
+    m = FormPoly.symbol("M", max_form_degree)
+    return n + m.scale(rat(2) + ScalarPoly.h2())
+
+
+class TestGenusFactorsAgainstReference:
+    @pytest.mark.parametrize("d", range(0, 21, 2))
+    def test_ch_exp(self, d):
+        for symbol, scale in (
+            (FormPoly.symbol("T", d), -ScalarPoly.h1(-1)),
+            (two_symbol_form(d), ScalarPoly.i() + ScalarPoly.h1()),
+        ):
+            got, want = ch_exp(symbol, scale), ref_ch_exp(symbol, scale)
+            assert got == want
+            assert got.max_form_degree == want.max_form_degree == d
+
+    @pytest.mark.parametrize("d", range(0, 21, 2))
+    def test_ch_phi_form(self, d):
+        # rn truncated at d itself, and at a larger and a smaller degree
+        for rn_degree in sorted({d, 20, max(d - 2, 0)}):
+            rn = two_symbol_form(rn_degree)
+            got, want = ch_phi_form(rn, d), ref_ch_phi_form(rn, d)
+            assert got == want
+            assert got.max_form_degree == want.max_form_degree
+        assert ch_phi_form(None, d) == FormPoly.one(d)
+
+    def test_ch_phi_form_rejects_degree_zero(self):
+        # like ch_exp: a degree-0 part would make the genus an infinite sum
+        rn = FormPoly.symbol("N", 4) + FormPoly.one(4)
+        with pytest.raises(ValueError):
+            ch_phi_form(rn, 4)
 
 
 class TestIndexForm:
@@ -204,7 +282,7 @@ class TestLocalModel:
             g = monos[rng.randrange(len(monos))]
             F = LocalElement.from_fiber(f.to_element())
             G = LocalElement.from_fiber(g.to_element())
-            folded = fiber_fold(local_star(F, G)).fiber_part()
+            folded = fiber_part(fiber_fold(local_star(F, G)))
             assert InvariantPoly.from_element(folded) == star(f, g)
 
     def test_trace_density_of_one(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklweyl.scalars import (
@@ -172,7 +172,7 @@ class TestScalarPoly:
 
     @given(scalar_polys(min_h1=0), scalar_polys(min_h1=0))
     def test_nonnegative_h1_closure(self, a, b):
-        assert (a * b).nonnegative_h1()
+        assert all(h1 >= 0 for h1, _h2 in (a * b).term_map())
 
     def test_invert_monomial(self):
         two_ih1 = ScalarPoly.monomial(GaussianRational.of(0, 2), 1, 0)
@@ -186,6 +186,73 @@ class TestScalarPoly:
     def test_json_roundtrip(self):
         a = sp(Fraction(-3, 2), -1, 2, im=Fraction(1, 3)) + sp(5, 2, 0)
         assert ScalarPoly.from_json(a.to_json()) == a
+
+
+# -- reference series ---------------------------------------------------------
+# The per-function loops the engine used before the shared power sum: each
+# builds successive powers of its argument itself.  They share no code with
+# scalars.power_sum.
+
+
+def ref_series_exp(s: TruncSeries) -> TruncSeries:
+    result = TruncSeries.one(s.order)
+    term = TruncSeries.one(s.order)
+    for k in range(1, s.order + 1):
+        term = (term * s).scale(ScalarPoly.from_rational(Fraction(1, k)))
+        result = result + term
+    return result
+
+
+def ref_series_log(s: TruncSeries) -> TruncSeries:
+    u = s - TruncSeries.one(s.order)
+    result = TruncSeries.zero(s.order)
+    power = TruncSeries.one(s.order)
+    for k in range(1, s.order + 1):
+        power = power * u
+        sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
+        result = result + power.scale(ScalarPoly.from_rational(sign))
+    return result
+
+
+def ref_series_sqrt(s: TruncSeries) -> TruncSeries:
+    u = s - TruncSeries.one(s.order)
+    result = TruncSeries.zero(s.order)
+    power = TruncSeries.one(s.order)
+    for k in range(s.order + 1):
+        half_binomial = Fraction(1)
+        for j in range(k):
+            half_binomial *= Fraction(1, 2) - j
+        for j in range(1, k + 1):
+            half_binomial /= j
+        result = result + power.scale(ScalarPoly.from_rational(half_binomial))
+        power = power * u
+    return result
+
+
+@st.composite
+def unit_series(draw, max_order=8):
+    """A series 1 + c_1 x + ... + c_n x^n with n <= max_order."""
+    order = draw(st.integers(0, max_order))
+    tail = draw(st.lists(scalar_polys(), min_size=order, max_size=order))
+    return TruncSeries([ScalarPoly.one(), *tail], order)
+
+
+class TestSeriesAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(unit_series())
+    def test_exp(self, s):
+        u = s - TruncSeries.one(s.order)
+        assert series_exp(u) == ref_series_exp(u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_series())
+    def test_log(self, s):
+        assert series_log(s) == ref_series_log(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_series())
+    def test_sqrt(self, s):
+        assert series_sqrt(s) == ref_series_sqrt(s)
 
 
 class TestSeries:

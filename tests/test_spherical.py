@@ -33,7 +33,7 @@ def random_invariant(rng, max_degree=8):
         c = GaussianRational.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
         if c.is_zero():
             c = GaussianRational.of(1)
-        terms[(p, d - p)] = ScalarPoly.gaussian(c)
+        terms[(p, d - p)] = ScalarPoly.monomial(c)
     return InvariantPoly(terms)
 
 

@@ -13,6 +13,7 @@ from dunklweyl.trace import (
     star_power,
     trace_defect,
 )
+from tests.conftest import h1_range
 
 M = InvariantPoly.monomial
 
@@ -62,7 +63,7 @@ class TestPhi:
         # h1 exponents stay within 0..d and every term has h2 <= h1
         for m in invariant_monomials(12):
             value = phi(m)
-            lo, hi = value.h1_range()
+            lo, hi = h1_range(value)
             assert lo >= 0 and hi <= m.degree() // 2
             assert value.h2_bounded_by_h1()
 
