@@ -7,15 +7,19 @@ subject to
 
 Every element has a unique normal form as a finite sum c * z^p * zb^q * g^eps.
 Multiplication reorders each zb^q * z^p by the Dunkl-operator action of zb on
-powers of z (see _reorder), with a bounded cache keyed by (q, p).
+powers of z.  _reorder returns that normal form as integer tables, behind a
+bounded cache keyed by (q, p); mul spreads one scalar product per term pair
+over the table into one integer accumulator over a common denominator, and
+reduces each output coefficient once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
+from .scalars import ScalarPoly, TermMap, _reduced
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
@@ -25,8 +29,8 @@ _MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k as (re, im), by k
 
 
 @lru_cache(maxsize=REORDER_CACHE_SIZE)
-def _reorder(q: int, p: int) -> tuple[tuple[TermKey, ScalarPoly], ...]:
-    """Normal form of the word zb^q z^p as (key, coefficient) pairs.
+def _reorder(q: int, p: int) -> tuple[tuple, ...]:
+    """Normal form of the word zb^q z^p as integer tables.
 
     Starts from z^p and left-multiplies by zb q times.  On z^a zb^b g^e, zb
     acts as the rank-one Dunkl operator:
@@ -36,8 +40,9 @@ def _reorder(q: int, p: int) -> tuple[tuple[TermKey, ScalarPoly], ...]:
                           - 2 i h1 h2 (-1)^b [a odd] z^(a-1) zb^b g^(1-e).
 
     After k Dunkl moves a term is z^(p-k) zb^(q-k) g^e with coefficient
-    (-i h1)^k times a polynomial in h2 with integer coefficients, so the loop
-    runs on {h2 power: int} maps and wraps them into scalars once at the end.
+    (-i h1)^k times a polynomial in h2 with integer coefficients n_j.  Its
+    entry (p-k, q-k, e, k, ((j, nr, ns), ...)) stands for
+    z^(p-k) zb^(q-k) g^e * h1^k * sum_j (nr + ns*i) * h2^j, nr + ns*i = (-i)^k * n_j.
     """
     top = min(p, q)
     polys: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(top + 1)]
@@ -62,9 +67,9 @@ def _reorder(q: int, p: int) -> tuple[tuple[TermKey, ScalarPoly], ...]:
     for k, pair in enumerate(polys):
         re, im = _MINUS_I_POWERS[k % 4]
         for e, poly in enumerate(pair):
-            coeff = {(k, j): GaussianRational.of(re * c, im * c) for j, c in poly.items() if c}
-            if coeff:
-                out.append(((p - k, q - k, e), ScalarPoly(coeff)))
+            row = tuple((j, re * c, im * c) for j, c in poly.items() if c)
+            if row:
+                out.append((p - k, q - k, e, k, row))
     return tuple(out)
 
 
@@ -153,22 +158,60 @@ class SrcElement(TermMap):
         ]
 
 
+def _denominator(x: SrcElement) -> int:
+    """lcm of the denominators of every coefficient of x."""
+    return lcm(*{c._d for poly in x._terms.values() for c in poly._terms.values()})
+
+
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:
-    """Exact product in normal form."""
-    out: dict[TermKey, ScalarPoly] = {}
+    """Exact product in normal form.
+
+    One ScalarPoly product c1*c2 per term pair, lifted to integer numerators
+    over den and spread over the pair's _reorder table into one accumulator
+    keyed (p, q, eps, h1, h2); one gcd per output coefficient at the end.
+    """
+    den = _denominator(a) * _denominator(b)
+    acc: dict[tuple[int, int, int, int, int], list[int]] = {}
+    get = acc.get
     for (p1, q1, e1), c1 in a._terms.items():
         for (p2, q2, e2), c2 in b._terms.items():
             c = c1 * c2
+            lifted = [
+                (h1, h2, gr._r * (den // gr._d), gr._s * (den // gr._d))
+                for (h1, h2), gr in c._terms.items()
+            ]
             # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
-            if e1 == 1 and (p2 + q2) % 2 == 1:
-                c = -c
-            for (x_, y_, eps), r in _reorder(q1, p2):
+            flip = e1 == 1 and (p2 + q2) % 2 == 1
+            for x, y, eps, k, row in _reorder(q1, p2):
                 # the inner g (if any) still has to cross zb^q2
-                cc = c * r
-                if eps == 1 and q2 % 2 == 1:
-                    cc = -cc
-                accumulate(out, (p1 + x_, y_ + q2, eps ^ e1 ^ e2), cc)
-    return a._new(out)
+                negate = flip != (eps == 1 and q2 % 2 == 1)
+                p, q, e = p1 + x, y + q2, eps ^ e1 ^ e2
+                # (-i)^k n is real for even k and imaginary for odd k, so a row
+                # entry scales r + s*i, turned by i when k is odd, by nr + ns
+                odd = k % 2
+                for h1, h2, r, s in lifted:
+                    if odd:
+                        r, s = -s, r
+                    if negate:
+                        r, s = -r, -s
+                    h1 += k
+                    for j, nr, ns in row:
+                        n = nr + ns
+                        key = (p, q, e, h1, h2 + j)
+                        cell = get(key)
+                        if cell is None:
+                            acc[key] = [r * n, s * n]
+                        else:
+                            cell[0] += r * n
+                            cell[1] += s * n
+    grouped: dict[TermKey, dict] = {}
+    for (p, q, e, h1, h2), (r, s) in acc.items():
+        if r or s:
+            terms = grouped.get((p, q, e))
+            if terms is None:
+                terms = grouped[(p, q, e)] = {}
+            terms[(h1, h2)] = _reduced(r, s, den)
+    return a._new({key: ScalarPoly.from_clean(terms) for key, terms in grouped.items()})
 
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:

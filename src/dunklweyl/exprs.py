@@ -246,23 +246,27 @@ def parse(src: str) -> Node:
 # -- evaluation -----------------------------------------------------------
 
 
+# Atoms whose powers the atom table builds as one monomial; atom_fn gets the
+# exponent as its argument (negative only for h1, by the grammar).
+_POWER_ATOMS = {"z", "zb", "h1", "h2"}
+
+
 def _eval_generic(node: Node, atom_fn):
     if isinstance(node, Num):
         return atom_fn("__num__", node.value)
     if isinstance(node, Atom):
-        return atom_fn(node.name, None)
+        return atom_fn(node.name, 1)
     if isinstance(node, Pow):
-        if node.exp < 0:
-            # grammar restricts this to the h1 atom
-            return atom_fn("__h1pow__", node.exp)
+        if isinstance(node.base, Atom) and node.base.name in _POWER_ATOMS:
+            return atom_fn(node.base.name, node.exp)
         base = _eval_generic(node.base, atom_fn)
         out = atom_fn("__num__", Fraction(1))
         for _ in range(node.exp):
             out = out * base
         return out
     if isinstance(node, Prod):
-        out = atom_fn("__num__", Fraction(1))
-        for f in node.factors:
+        out = _eval_generic(node.factors[0], atom_fn)
+        for f in node.factors[1:]:
             out = out * _eval_generic(f, atom_fn)
         return out
     if isinstance(node, Sum):
@@ -275,23 +279,22 @@ def _eval_generic(node: Node, atom_fn):
 
 
 def _element_atom(name: str, arg) -> SrcElement:
-    """The atom table of eval_element; the local model lifts it to the fiber."""
+    """The atom table of eval_element; the local model lifts it to the fiber.
+    arg is a number's rational or a generator's exponent."""
     if name == "__num__":
         return SrcElement.scalar(ScalarPoly.from_rational(arg))
-    if name == "__h1pow__":
-        return SrcElement.scalar(ScalarPoly.h1(arg))
     if name == "i":
         return SrcElement.scalar(ScalarPoly.i())
     if name == "h1":
-        return SrcElement.scalar(ScalarPoly.h1())
+        return SrcElement.scalar(ScalarPoly.h1(arg))
     if name == "h2":
-        return SrcElement.scalar(ScalarPoly.h2())
+        return SrcElement.scalar(ScalarPoly.h2(arg))
     if name == "g":
         return SrcElement.gamma()
     if name == "z":
-        return SrcElement.z()
+        return SrcElement.z(arg)
     if name == "zb":
-        return SrcElement.zb()
+        return SrcElement.zb(arg)
     if name == "x":
         return SrcElement.x()
     if name == "y":

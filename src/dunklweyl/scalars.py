@@ -322,6 +322,13 @@ class ScalarPoly(TermMap):
         return ScalarPoly({(0, 0): GaussianRational.of(x, y)})
 
     @staticmethod
+    def from_clean(terms: dict) -> "ScalarPoly":
+        """A ScalarPoly around a term map with valid keys and no zero coefficient."""
+        out = _new(ScalarPoly)
+        out._terms = terms
+        return out
+
+    @staticmethod
     def i() -> "ScalarPoly":
         return ScalarPoly({(0, 0): GR_I})
 

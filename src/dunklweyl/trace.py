@@ -17,9 +17,9 @@ constructively, and the two routes are required to agree exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
-from .scalars import GaussianRational, ScalarPoly, TruncSeries
+from .scalars import GaussianRational, ScalarPoly, TruncSeries, _reduced
 from .spherical import InvariantPoly, star, star_commutator
 
 
@@ -42,18 +42,34 @@ def recursion_scalar(k: int) -> ScalarPoly:
     return ScalarPoly.monomial(GaussianRational.of(0, 1), 1, 0) * step_factor(k)
 
 
-_CLASS_SCALARS: dict[int, ScalarPoly] = {0: ScalarPoly.one()}
+# Prefix table of class_scalar, one row per k up to the largest k requested:
+# row k is (n, d) with prod_{l=1}^{k} step_factor(l) = sum_j n[j] * h2^j / d,
+# and gcd(n[0], n[1], ..., d) = 1.
+_CLASS_ROWS: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), by k % 4
 
 
 def class_scalar(k: int) -> ScalarPoly:
-    """phi(z^k zb^k) = prod_{j=1}^{k} recursion_scalar(j), cached."""
+    """phi(z^k zb^k) = prod_{j=1}^{k} recursion_scalar(j): (i*h1)^k times the
+    row k of the prefix table, extended as far as k first."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = max(_CLASS_SCALARS)
-    while n < k:
-        n += 1
-        _CLASS_SCALARS[n] = _CLASS_SCALARS[n - 1] * recursion_scalar(n)
-    return _CLASS_SCALARS[k]
+    while len(_CLASS_ROWS) <= k:
+        l = len(_CLASS_ROWS)
+        nums, den = _CLASS_ROWS[-1]
+        # step_factor(l) = (l*(l+1) + sign*4*floor((l+1)/2)*h2) / (2*(l+1))
+        c0 = l * (l + 1)
+        c1 = (4 if l % 2 else -4) * ((l + 1) // 2)
+        new = [c0 * n for n in nums] + [0]
+        for j, n in enumerate(nums):
+            new[j + 1] += c1 * n
+        den *= 2 * (l + 1)
+        g = gcd(den, *new)
+        _CLASS_ROWS.append((tuple(n // g for n in new), den // g))
+    nums, den = _CLASS_ROWS[k]
+    re, im = _I_POWERS[k % 4]
+    terms = {(k, j): _reduced(re * n, im * n, den) for j, n in enumerate(nums) if n}
+    return ScalarPoly.from_clean(terms)
 
 
 def phi(f: InvariantPoly) -> ScalarPoly:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +77,25 @@ def ref_reorder(q, p):
     return out
 
 
+def ref_mul(a: SrcElement, b: SrcElement) -> SrcElement:
+    """The product as the engine computed it before its integer kernel: one
+    ScalarPoly product and one term-map sum per output term, over ref_reorder."""
+    out = {}
+    for (p1, q1, e1), c1 in a.term_map().items():
+        for (p2, q2, e2), c2 in b.term_map().items():
+            c = c1 * c2
+            # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
+            if e1 == 1 and (p2 + q2) % 2 == 1:
+                c = -c
+            for (x_, y_, eps), r in ref_reorder(q1, p2).items():
+                # the inner g (if any) still has to cross zb^q2
+                cc = c * r
+                if eps == 1 and q2 % 2 == 1:
+                    cc = -cc
+                accumulate(out, (p1 + x_, y_ + q2, eps ^ e1 ^ e2), cc)
+    return SrcElement(out)
+
+
 def check_against_reference(q, p):
     ref = ref_reorder(q, p)
     assert mul(ZB(q), Z(p)) == SrcElement(ref), (q, p)
@@ -100,6 +119,63 @@ def random_element(rng, max_degree=8, allow_gamma=True):
             c = GaussianRational.of(1)
         terms[(p, q, eps)] = ScalarPoly.monomial(c, rng.randint(0, 1), rng.randint(0, 1))
     return SrcElement(terms)
+
+
+@st.composite
+def kernel_elements(draw, max_terms=5, max_degree=10):
+    """0-5 terms of degree <= 10 with g, h1^-2..h1^3, h2^0..h2^3 and Gaussian
+    coefficients over denominators 1-6."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        p = draw(st.integers(0, max_degree))
+        key = (p, draw(st.integers(0, max_degree - p)), draw(st.integers(0, 1)))
+        coeff = {}
+        for _ in range(draw(st.integers(1, 3))):
+            den = draw(st.integers(1, 6))
+            re, im = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+            coeff[(draw(st.integers(-2, 3)), draw(st.integers(0, 3)))] = GaussianRational.of(
+                Fraction(re, den), Fraction(im, den)
+            )
+        terms[key] = ScalarPoly(coeff)
+    return SrcElement(terms)
+
+
+def assert_same_product(got: SrcElement, want: SrcElement) -> None:
+    assert got == want
+    assert got.to_text() == want.to_text()
+    assert got.to_json() == want.to_json()
+    assert hash(got) == hash(want)
+    for coeff in got.term_map().values():
+        assert not coeff.is_zero()
+        for c in coeff.term_map().values():
+            assert c._d > 0 and (c._r or c._s)
+            assert gcd(c._r, c._s, c._d) == 1
+
+
+class TestKernelAgainstReference:
+    """The integer kernel of mul against the ScalarPoly-coefficient product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_elements(), kernel_elements())
+    def test_agrees_with_reference(self, a, b):
+        assert_same_product(mul(a, b), ref_mul(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_elements(max_terms=3, max_degree=5), kernel_elements(max_terms=3, max_degree=5))
+    def test_cancelling_products(self, u, v):
+        # (u e)(f v) = u (e f) v = 0 for the idempotents e = (1+g)/2, f = (1-g)/2:
+        # every output key of the kernel's accumulator sums to zero
+        e = idempotent()
+        f = SrcElement.one() - e
+        left, right = mul(u, e), mul(f, v)
+        got = mul(left, right)
+        assert_same_product(got, ref_mul(left, right))
+        assert got.is_zero() and got.term_map() == {}
+
+    def test_zero_factor(self):
+        a = SrcElement.z(2) + SrcElement.gamma()
+        assert_same_product(mul(a, SrcElement.zero()), SrcElement.zero())
+        assert_same_product(mul(SrcElement.zero(), a), SrcElement.zero())
 
 
 class TestRelations:

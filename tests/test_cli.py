@@ -129,6 +129,23 @@ class TestErrors:
         assert code == 2 and out == "" and "error:" in err
         assert calls == []
 
+    def test_chphi_order_beyond_data_is_usage_error(self, capsys, monkeypatch):
+        # data/suites/chphi.json holds k <= 8: order 8 is checked, order 9 refused
+        code, out, _err = run_cli(capsys, "verify", "--suite", "chphi", "--order", "8")
+        assert code == 0 and "18/18 passed" in out
+        ran = []
+        original = suites._run_case
+
+        def counted(case_id, thunk):
+            ran.append(case_id)
+            return original(case_id, thunk)
+
+        monkeypatch.setattr(suites, "_run_case", counted)
+        for suite in ("chphi", "all"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--order", "9")
+            assert code == 2 and out == "" and "error:" in err, suite
+        assert ran == []
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -300,7 +317,9 @@ def test_benchmark_tracer_wraps_every_entry_point():
     """bench/tracer.py finds every function and method it times by name.
 
     The product of two scalars must also reach the traced Gaussian rational
-    product, which the benchmark's layer metrics count.
+    product, which the benchmark's layer metrics count, and a CLI product must
+    count scalar products, algebra products with their output terms, a parse
+    and the CLI call itself.
     """
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]; "
@@ -309,7 +328,14 @@ def test_benchmark_tracer_wraps_every_entry_point():
         "a = ScalarPoly.from_rational(2, 1) + ScalarPoly.h1(); "
         "b = ScalarPoly.from_rational(0, 3) + ScalarPoly.h2(); "
         "assert a * b == b * a; "
-        "print(t.folded['scalars.GaussianRational.mul'][0])"
+        "print(t.folded['scalars.GaussianRational.mul'][0]); "
+        # a CLI product must reach the scalar layer and report its terms
+        "import dunklweyl.cli; "
+        "assert dunklweyl.cli.main(['nf', 'zb^3*g*z^3', '--format', 'json']) == 0; "
+        "spans = [r[0] for r in t.spans]; "
+        "print(t.folded['scalars.ScalarPoly.mul'][0], "
+        "*(spans.count(n) for n in ('algebra.mul', 'exprs.parse', 'cli.main')), "
+        "t.counts['algebra.mul.terms_out'], t.counts['algebra.mul.scalar_terms_out'])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
@@ -318,6 +344,11 @@ def test_benchmark_tracer_wraps_every_entry_point():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    unwrapped, gr_mul_calls = proc.stdout.split()
+    lines = proc.stdout.splitlines()
+    unwrapped, gr_mul_calls = lines[0], lines[1]
     assert unwrapped == "[]"
     assert int(gr_mul_calls) > 0
+    # the nf JSON sits between the counts of the scalar check and of the CLI run
+    assert json.loads("\n".join(lines[2:-1]))
+    counts = [int(n) for n in lines[-1].split()]
+    assert len(counts) == 6 and all(n > 0 for n in counts), counts

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dunklweyl.algebra import SrcElement, commutator
+from dunklweyl import algebra
+from dunklweyl.algebra import SrcElement, commutator, mul
+from dunklweyl.cli import main
 from dunklweyl.exprs import (
     EvalError,
     ParseError,
@@ -128,6 +130,60 @@ class TestEval:
             parse_invariant("z")
         with pytest.raises(Exception):
             parse_invariant("g")
+
+
+class TestPowerFastPath:
+    """Powers of z, zb, h1 and h2 are built as one monomial, not by repeated mul."""
+
+    ATOMS = {
+        "z": SrcElement.z(),
+        "zb": SrcElement.zb(),
+        "h1": SrcElement.scalar(ScalarPoly.h1()),
+        "h2": SrcElement.scalar(ScalarPoly.h2()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ATOMS))
+    def test_power_equals_repeated_product(self, name):
+        base = self.ATOMS[name]
+        want = SrcElement.one()
+        for n in range(13):
+            assert parse_element(f"{name}^{n}") == want, (name, n)
+            want = mul(want, base)
+
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            ("z^0", "1"),
+            ("(z*zb)^2", "-1*i*h1*z*zb + z^2*zb^2 + 2*i*h1*h2*z*zb*g"),
+            ("h1^-2", "h1^-2"),
+            ("g^3", "g"),
+            ("i^3", "-1*i"),
+        ],
+    )
+    def test_other_powers_unchanged(self, src, text):
+        assert element_to_text(parse_element(src)) == text
+
+    def test_localtrace_unchanged(self, capsys):
+        assert main(["localtrace", "--n", "2", "p1^2*q1*z^3"]) == 2
+        assert "fiber part z^3 zb^0 is not invariant" in capsys.readouterr().err
+        assert main(["localtrace", "--n", "2", "p1^2*q1*z^3*zb^3"]) == 0
+        assert capsys.readouterr().out.strip() == (
+            "-3/4*i*h1^4*p1 - 3/2*i*h1^4*h2*p1 + 1/3*i*h1^4*h2^2*p1"
+            " + 2/3*i*h1^4*h2^3*p1 - 3/4*i*h1^3*p1^2*q1 - 3/2*i*h1^3*h2*p1^2*q1"
+            " + 1/3*i*h1^3*h2^2*p1^2*q1 + 2/3*i*h1^3*h2^3*p1^2*q1"
+        )
+
+    def test_product_of_powers_makes_one_mul(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(algebra, "mul", counted)
+        assert parse_element("z^8*zb^8") == SrcElement.monomial(8, 8)
+        # both powers are monomials and the product starts from its first factor
+        assert len(calls) == 1
 
 
 class TestPrint:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
+from dunklweyl import trace
 from dunklweyl.scalars import GaussianRational, ScalarPoly
 from dunklweyl.spherical import InvariantPoly, invariant_monomials, star
 from dunklweyl.trace import (
@@ -87,6 +89,37 @@ class TestRecursionScalars:
             acc = acc * recursion_scalar(k)
             assert class_scalar(k) == acc
 
+
+
+def ref_step(l: int) -> ScalarPoly:
+    """The l-th one-step scalar, built from Fractions here: the engine's class
+    scalars used to be the ScalarPoly product of these."""
+    return ih1_times(Fraction(l, 2), Fraction((1 if l % 2 else -1) * 2 * ((l + 1) // 2), l + 1))
+
+
+class TestIntegerClassScalars:
+    def test_agrees_with_scalar_product(self):
+        trace._CLASS_ROWS[1:] = []
+        want = ScalarPoly.one()
+        for k in range(61):
+            if k:
+                want = want * ref_step(k)
+            got = class_scalar(k)
+            assert got == want and got.to_json() == want.to_json(), f"k={k}"
+            for c in got.term_map().values():
+                assert c._d > 0 and gcd(c._r, c._s, c._d) == 1
+        series = ch_phi(60)
+        assert series.coeffs[60] == want.scale(GaussianRational.of(Fraction(1, factorial(60))))
+
+    def test_prefix_table_bounded_by_largest_request(self):
+        trace._CLASS_ROWS[1:] = []
+        class_scalar(5)
+        assert len(trace._CLASS_ROWS) == 6
+        class_scalar(3)
+        ch_phi(4)
+        assert len(trace._CLASS_ROWS) == 6
+        class_scalar(9)
+        assert len(trace._CLASS_ROWS) == 10
 
 class TestTraceDefect:
     def test_examples(self):
