@@ -4,6 +4,9 @@ Subcommands: nf, mul, comm, star, trace, certify, hh0, chphi, index,
 localtrace, verify.  Expression arguments use the grammar documented in the
 exprs module ('zb' spells the conjugate generator).  Exit status: 0 on
 success, 1 when a verification suite fails, 2 on usage or parse errors.
+
+A cold call imports only what its subcommand runs: exprs, algebra and scalars
+here, every other engine module inside the branch that uses it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ import sys
 
 from . import exprs
 from .algebra import commutator, mul
-from .hochschild import Certificate, check_certificate, hh0_report, reduce_certificate
-from .index import FormPoly, index_form, local_trace_density
-from .scalars import NonInvertibleError, SeriesDomainError
-from .spherical import ExtractionError, ParityError, star
-from .suites import SUITE_NAMES, RunConfig, run_suite
-from .trace import ch_phi, phi
+from .scalars import ExtractionError, NonInvertibleError, ParityError, SeriesDomainError
+
+# The verify suites in run order; the suites module keys its runner by them.
+SUITE_NAMES = ("relations", "trace", "hh0", "degeneration", "euler", "chphi", "series", "roundtrip")
 
 
 def _int_at_least(low: int):
@@ -128,17 +129,23 @@ def _run_command(args) -> int:
         _emit_value(args, exprs.element_to_text(e), e.to_json())
         return 0
     if args.command == "star":
+        from .spherical import star
+
         f = exprs.parse_invariant(args.lhs)
         g = exprs.parse_invariant(args.rhs)
         h = _maybe_h2_zero(args, star(f, g))
         _emit_value(args, exprs.invariant_to_text(h), h.to_json())
         return 0
     if args.command == "trace":
+        from .trace import phi
+
         f = exprs.parse_invariant(args.expr)
         value = _maybe_h2_zero(args, phi(f))
         _emit_value(args, exprs.scalar_to_text(value), value.to_json())
         return 0
     if args.command == "certify":
+        from .hochschild import Certificate, check_certificate, reduce_certificate
+
         if (args.expr is None) == (args.check is None):
             raise ValueError("certify takes an expression or --check FILE, not both or neither")
         if args.check:
@@ -161,6 +168,8 @@ def _run_command(args) -> int:
         print(cert.to_json())
         return 0
     if args.command == "hh0":
+        from .hochschild import hh0_report
+
         report = hh0_report(args.degree if args.degree % 2 == 0 else args.degree - 1)
         if args.format == "json":
             print(json.dumps(report.to_json_dict(), indent=2))
@@ -171,6 +180,8 @@ def _run_command(args) -> int:
             print(f"{'all certified' if report.all_ok else 'FAILURES present'}")
         return 0 if report.all_ok else 1
     if args.command == "chphi":
+        from .trace import ch_phi
+
         series = ch_phi(args.order)
         coeffs = [c.subs_h2_zero() if args.h2_zero else c for c in series.coeffs]
         if args.format == "json":
@@ -180,6 +191,8 @@ def _run_command(args) -> int:
                 print(f"t^{k}: {exprs.scalar_to_text(c)}")
         return 0
     if args.command == "index":
+        from .index import FormPoly, index_form
+
         deg = 2 * (args.n - 1)
         rt = [
             None if s == "0" else FormPoly.symbol(s, deg) for s in args.rt
@@ -193,11 +206,15 @@ def _run_command(args) -> int:
         _emit_value(args, exprs.form_to_text(result), result.to_json())
         return 0
     if args.command == "localtrace":
+        from .index import local_trace_density
+
         F = exprs.eval_local(exprs.parse(args.expr), args.n - 1)
         density = _maybe_h2_zero(args, local_trace_density(F))
         _emit_value(args, exprs.local_to_text(density), _local_json(density))
         return 0
     if args.command == "verify":
+        from .suites import RunConfig, run_suite
+
         cfg = RunConfig(fmt=args.format, degree=args.degree, order=args.order, seed=args.seed)
         report = run_suite(args.suite, cfg)
         print(report.to_json() if args.format == "json" else report.to_text())

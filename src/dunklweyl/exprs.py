@@ -24,14 +24,15 @@ canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .algebra import SrcElement
-from .index import LocalElement
 from .scalars import GaussianRational, ScalarPoly
-from .spherical import InvariantPoly
+
+if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
+    from .index import LocalElement
+    from .spherical import InvariantPoly
 
 EXP_LIMIT = 10**6
 
@@ -54,29 +55,24 @@ class EvalError(ValueError):
 # -- expression trees ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str  # 'i', 'h1', 'h2', 'g', 'z', 'zb', 'x', 'y', or p/q with digit
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Node"
     exp: int
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(NamedTuple):
     factors: tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     parts: tuple[tuple[int, "Node"], ...]  # (sign, term)
 
 
@@ -91,8 +87,7 @@ _ATOM_NAMES |= {f"p{d}" for d in range(10)} | {f"q{d}" for d in range(10)}
 _PUNCT = set("+-*^()/")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'name', punctuation, 'end'
     text: str
     pos: int
@@ -309,6 +304,7 @@ def eval_element(node: Node) -> SrcElement:
 
 def eval_local(node: Node, n_pairs: int) -> LocalElement:
     """Evaluate a tree in the local model with n_pairs base pairs."""
+    from .index import LocalElement
 
     def atom_fn(name: str, arg) -> LocalElement:
         if name[0] not in "pq":
@@ -326,6 +322,8 @@ def parse_element(src: str) -> SrcElement:
 
 
 def parse_invariant(src: str) -> InvariantPoly:
+    from .spherical import InvariantPoly
+
     return InvariantPoly.from_element(parse_element(src))
 
 

@@ -21,6 +21,14 @@ class SeriesDomainError(ValueError):
     """Raised when a series operation is applied outside its domain."""
 
 
+class ParityError(ValueError):
+    """Raised when a polynomial is not invariant under z, zb -> -z, -zb."""
+
+
+class ExtractionError(RuntimeError):
+    """Internal consistency failure: a product left the invariant corner."""
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -18,17 +18,9 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import GaussianRational, ScalarPoly, TermMap, accumulate
+from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate
 
 PairKey = tuple[int, int]
-
-
-class ParityError(ValueError):
-    """Raised when a polynomial is not invariant under z, zb -> -z, -zb."""
-
-
-class ExtractionError(RuntimeError):
-    """Internal consistency failure: a product left the invariant corner."""
 
 
 class InvariantPoly(TermMap):

@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 
 from . import exprs
 from .algebra import SrcElement, commutator, mul
+from .cli import SUITE_NAMES
 from .hochschild import certify_monomial, check_report_degree
 from .index import inv_sinh_quotient
 from .scalars import (
@@ -40,18 +41,6 @@ from .spherical import (
     star_commutator,
 )
 from .trace import ch_phi, phi, trace_defect
-
-SUITE_NAMES = (
-    "relations",
-    "trace",
-    "hh0",
-    "degeneration",
-    "euler",
-    "chphi",
-    "series",
-    "roundtrip",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -374,15 +363,9 @@ def suite_roundtrip(cfg: RunConfig) -> Work:
     return work
 
 
+# The runner table, in the order of the CLI's --suite choices.
 _SUITES: dict[str, Callable[[RunConfig], Work]] = {
-    "relations": suite_relations,
-    "trace": suite_trace,
-    "hh0": suite_hh0,
-    "degeneration": suite_degeneration,
-    "euler": suite_euler,
-    "chphi": suite_chphi,
-    "series": suite_series,
-    "roundtrip": suite_roundtrip,
+    name: globals()[f"suite_{name}"] for name in SUITE_NAMES
 }
 
 
@@ -406,7 +389,7 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
     start = time.perf_counter()
     if name == "all":
         work = [
-            (f"{sub}:{cid}", thunk) for sub in SUITE_NAMES for cid, thunk in _SUITES[sub](cfg)
+            (f"{sub}:{cid}", thunk) for sub, build in _SUITES.items() for cid, thunk in build(cfg)
         ]
     else:
         work = _SUITES[name](cfg)

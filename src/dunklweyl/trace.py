@@ -50,8 +50,14 @@ _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), by k % 4
 
 
 def class_scalar(k: int) -> ScalarPoly:
-    """phi(z^k zb^k) = prod_{j=1}^{k} recursion_scalar(j): (i*h1)^k times the
-    row k of the prefix table, extended as far as k first."""
+    """phi(z^k zb^k) = prod_{j=1}^{k} recursion_scalar(j)."""
+    return _class_over(k, 1)
+
+
+def _class_over(k: int, divisor: int) -> ScalarPoly:
+    """class_scalar(k) / divisor: (i*h1)^k times the row k of the prefix table,
+    extended as far as k first, over den * divisor with one reduction per
+    coefficient."""
     if k < 0:
         raise ValueError("k must be non-negative")
     while len(_CLASS_ROWS) <= k:
@@ -67,6 +73,7 @@ def class_scalar(k: int) -> ScalarPoly:
         g = gcd(den, *new)
         _CLASS_ROWS.append((tuple(n // g for n in new), den // g))
     nums, den = _CLASS_ROWS[k]
+    den *= divisor
     re, im = _I_POWERS[k % 4]
     terms = {(k, j): _reduced(re * n, im * n, den) for j, n in enumerate(nums) if n}
     return ScalarPoly.from_clean(terms)
@@ -105,6 +112,6 @@ def ch_phi(order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [class_scalar(k).scale(GaussianRational.of(Fraction(1, factorial(k)))) for k in range(order + 1)]
+    coeffs = [_class_over(k, factorial(k)) for k in range(order + 1)]
     return TruncSeries(coeffs, order)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dunklweyl import hochschild, suites
+from dunklweyl import cli, hochschild, spherical, suites
 from dunklweyl.cli import main
 from dunklweyl.suites import RunConfig, run_suite
 
@@ -160,6 +161,16 @@ class TestErrors:
     def test_removed_option_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err
+
+    def test_extraction_error_exit_2(self, capsys, monkeypatch):
+        # an internal consistency failure of the star product is still exit 2
+        def broken(f, g):
+            raise spherical.ExtractionError("non-invariant residue z^1 zb^0")
+
+        monkeypatch.setattr(spherical, "star", broken)
+        code, out, err = run_cli(capsys, "star", "z*zb", "z^2")
+        assert code == 2 and out == ""
+        assert err == "error: non-invariant residue z^1 zb^0\n"
 
     @pytest.mark.parametrize("with_expr", [False, True], ids=["neither", "both"])
     def test_certify_needs_expression_or_check(self, capsys, tmp_path, with_expr):
@@ -352,3 +363,72 @@ def test_benchmark_tracer_wraps_every_entry_point():
     assert json.loads("\n".join(lines[2:-1]))
     counts = [int(n) for n in lines[-1].split()]
     assert len(counts) == 6 and all(n > 0 for n in counts), counts
+
+
+# One small call per subcommand, plus a usage error that argparse reports.
+COLD_ARGVS = [
+    ["nf", "zb^2*g*z^3"],
+    ["mul", "z^2", "zb", "--format", "json"],
+    ["comm", "z^2", "zb"],
+    ["star", "z*zb", "z^2*zb^2", "--h2-zero"],
+    ["trace", "z^2*zb^2", "--format", "json"],
+    ["certify", "z^2*zb^2"],
+    ["hh0", "--degree", "4"],
+    ["chphi", "--order", "3"],
+    ["index", "--n", "2", "--rt", "0", "--theta", "T"],
+    ["localtrace", "--n", "2", "p1*q1*z*zb"],
+    ["verify", "--suite", "relations", "--format", "json"],
+    ["verify", "--suite", "nope"],
+]
+
+
+def _without_wall(text: str) -> str:
+    return re.sub(r'"wall_ms": [0-9.]+|wall [0-9.]+ ms', "wall", text)
+
+
+@pytest.mark.parametrize("argv", COLD_ARGVS, ids=[" ".join(a[:3]) for a in COLD_ARGVS])
+def test_cold_process_matches_in_process(capsys, argv):
+    """A fresh interpreter imports each engine module where its subcommand
+    needs it; an import cycle or a missing branch import shows up here, not in
+    the in-process tests, which import every module at collection."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunklweyl.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert proc.returncode == code
+    assert _without_wall(proc.stdout) == _without_wall(out)
+    assert proc.stderr == err
+
+
+def test_cold_imports_follow_the_subcommand():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'dunklweyl')\n"
+        "import dunklweyl\n"
+        "seen = [loaded()]\n"
+        "from dunklweyl import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['nf', 'zb^3*g*z^3', '--format', 'json']) == 0\n"
+        "    seen.append(loaded())\n"
+        "    assert cli.main(['verify', '--suite', 'relations']) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, nf, verify = json.loads(proc.stdout)
+    assert package == ["dunklweyl"]
+    front = {"dunklweyl", "dunklweyl.cli", "dunklweyl.exprs", "dunklweyl.algebra", "dunklweyl.scalars"}
+    assert set(nf) == front
+    assert "dunklweyl.suites" in verify and front < set(verify)
+
+
+def test_suite_choices_follow_the_runner_table():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == (*suites._SUITES, "all")

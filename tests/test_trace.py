@@ -121,6 +121,14 @@ class TestIntegerClassScalars:
         class_scalar(9)
         assert len(trace._CLASS_ROWS) == 10
 
+    def test_ch_phi_agrees_with_scaled_class_scalars(self):
+        # ch_phi folds k! into the row denominator; the old path scaled each
+        # class scalar by 1/k!, one Gaussian rational product per coefficient
+        series = ch_phi(60)
+        for k, got in enumerate(series.coeffs):
+            want = class_scalar(k).scale(GaussianRational.of(Fraction(1, factorial(k))))
+            assert got == want and got.to_json() == want.to_json(), f"k={k}"
+
 class TestTraceDefect:
     def test_examples(self):
         assert trace_defect(M(2, 0), M(0, 2)).is_zero()
