@@ -357,9 +357,6 @@ class ScalarPoly(TermMap):
     def is_one(self) -> bool:
         return self._terms == {(0, 0): GR_ONE}
 
-    def h2_bounded_by_h1(self) -> bool:
-        return all(b <= a for (a, b) in self._terms)
-
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":

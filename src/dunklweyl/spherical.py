@@ -136,31 +136,28 @@ def euler_derivation(g: InvariantPoly) -> InvariantPoly:
     return InvariantPoly(out)
 
 
-def moyal_star(
-    f: InvariantPoly, g: InvariantPoly, ordering: str = "standard"
-) -> InvariantPoly:
+def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
     """Closed-form Weyl-algebra product with [z, zb] = i*h1 (no h2).
 
     This is the degeneration oracle: an independent bidifferential formula,
-    sharing no code with the rewriting engine.
-
-    ordering="standard" differentiates the left factor in zb and the right
-    factor in z:
+    sharing no code with the rewriting engine.  It differentiates the left
+    factor in zb and the right factor in z:
 
         f * g = sum_k (-i*h1)^k / k! * (d^k f / d zb^k) (d^k g / d z^k),
 
     which matches the normal-ordered identification used by the star
     transport (z before zb), so the h2 -> 0 degeneration is exact.
-
-    ordering="symmetric" is the Weyl-symmetrized alternative with
-    z*zb = zzb + i*h1/2 and zb*z = zzb - i*h1/2; it quantizes the same
-    bracket in a different identification and is kept for comparison.
     """
-    if ordering == "standard":
-        return _moyal_standard(f, g)
-    if ordering == "symmetric":
-        return _moyal_symmetric(f, g)
-    raise ValueError(f"unknown ordering {ordering!r}")
+    acc: dict[PairKey, ScalarPoly] = {}
+    minus_ih1 = ScalarPoly.monomial(GaussianRational.of(0, -1), 1, 0)
+    for (p1, q1), c1 in f.term_map().items():
+        for (p2, q2), c2 in g.term_map().items():
+            base = c1 * c2
+            for k in range(min(q1, p2) + 1):
+                count = Fraction(perm(q1, k) * perm(p2, k), factorial(k))
+                weight = minus_ih1.pow(k).scale(GaussianRational.of(count))
+                accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
+    return InvariantPoly(acc)
 
 
 def symmetric_weyl_terms(
@@ -180,31 +177,6 @@ def symmetric_weyl_terms(
                 factorial(a) * factorial(b),
             )
             yield a, b, -count if b % 2 == 1 else count
-
-
-def _moyal_standard(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
-    acc: dict[PairKey, ScalarPoly] = {}
-    minus_ih1 = ScalarPoly.monomial(GaussianRational.of(0, -1), 1, 0)
-    for (p1, q1), c1 in f.term_map().items():
-        for (p2, q2), c2 in g.term_map().items():
-            base = c1 * c2
-            for k in range(min(q1, p2) + 1):
-                count = Fraction(perm(q1, k) * perm(p2, k), factorial(k))
-                weight = minus_ih1.pow(k).scale(GaussianRational.of(count))
-                accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
-    return InvariantPoly(acc)
-
-
-def _moyal_symmetric(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
-    acc: dict[PairKey, ScalarPoly] = {}
-    ih1_half = ScalarPoly.monomial(GaussianRational.of(0, Fraction(1, 2)), 1, 0)
-    for (p1, q1), c1 in f.term_map().items():
-        for (p2, q2), c2 in g.term_map().items():
-            base = c1 * c2
-            for a, b, count in symmetric_weyl_terms(p1, q1, p2, q2):
-                weight = ih1_half.pow(a + b).scale(GaussianRational.of(count))
-                accumulate(acc, (p1 + p2 - a - b, q1 + q2 - a - b), weight * base)
-    return InvariantPoly(acc)
 
 
 def invariant_monomials(max_degree: int) -> list[InvariantPoly]:

@@ -197,7 +197,7 @@ def suite_degeneration(cfg: RunConfig) -> Work:
 
             def thunk(m1=m1, m2=m2):
                 lhs = star(m1, m2).subs_h2_zero()
-                rhs = moyal_star(m1, m2, ordering="standard")
+                rhs = moyal_star(m1, m2)
                 return _eq_case(rhs.to_text(), lhs.to_text())
 
             work.append((cid, thunk))

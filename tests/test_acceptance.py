@@ -103,7 +103,7 @@ def test_criterion_4_degeneration_degree_8():
     for m1 in monos:
         for m2 in monos:
             count += 1
-            assert star(m1, m2).subs_h2_zero() == moyal_star(m1, m2, "standard")
+            assert star(m1, m2).subs_h2_zero() == moyal_star(m1, m2)
     report(4, True, f"h2->0 star equals the closed-form Weyl product on {count} pairs")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import subprocess
@@ -363,6 +364,55 @@ def test_benchmark_tracer_wraps_every_entry_point():
     assert json.loads("\n".join(lines[2:-1]))
     counts = [int(n) for n in lines[-1].split()]
     assert len(counts) == 6 and all(n > 0 for n in counts), counts
+
+
+def _must_call(workload: str) -> tuple[str, ...]:
+    """The layers bench/run.py requires a workload to reach (its MUST_CALL)."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MUST_CALL" for t in node.targets):
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("bench/run.py declares no MUST_CALL")
+
+
+def _traced_calls(statement: str) -> dict[str, int]:
+    """Calls per span name when statement runs alone under a fresh bench tracer."""
+    script = "\n".join([
+        "import json, sys",
+        "sys.path[:0] = sys.argv[1:]",
+        "from tracer import Tracer, install, layer_totals",
+        "tracer = Tracer()",
+        "install(tracer)",
+        statement,
+        "totals = layer_totals([{'spans': tracer.spans, 'folded': tracer.folded}])",
+        "print(json.dumps({name: cell['calls'] for name, cell in totals.items()}))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "workload, statement",
+    [
+        ("deep_nf", "import dunklweyl.cli; assert dunklweyl.cli.main(['nf', 'zb^20*g*z^18']) == 0"),
+        ("verify_all", "import child; child.battery(1, True, tracer)"),
+    ],
+    ids=["deep_nf", "verify_all"],
+)
+def test_benchmark_self_check_layers_reached(workload, statement):
+    """The traced benchmark's self-check passes on one request of the workload
+    alone: every layer in its MUST_CALL shows calls, with no other work before
+    it that could supply them."""
+    names = _must_call(workload)
+    assert names
+    calls = _traced_calls(statement)
+    assert {name: calls.get(name, 0) for name in names if not calls.get(name)} == {}
 
 
 # One small call per subcommand, plus a usage error that argparse reports.

@@ -115,71 +115,20 @@ class TestEuler:
             assert euler_derivation(m) == star_commutator(m, zzb)
 
 
-def gauss_map(f: InvariantPoly, coeff: ScalarPoly) -> InvariantPoly:
-    """exp(coeff * d^2/dz dzb) on polynomials; intertwines the two orderings."""
-    out = InvariantPoly.zero()
-    for (p, q), c in f.terms():
-        power = ScalarPoly.one()
-        fact = 1
-        for j in range(min(p, q) + 1):
-            if j:
-                fact *= j
-                power = power * coeff
-            count = 1
-            for l in range(j):
-                count *= (p - l) * (q - l)
-            weight = power.scale(GaussianRational.of(Fraction(count, fact)))
-            out = out + M(p - j, q - j, weight * c)
-    return out
-
-
 class TestMoyal:
     def test_unit(self):
         rng = random.Random(6)
-        for ordering in ("standard", "symmetric"):
-            f = random_invariant(rng)
-            assert moyal_star(f, InvariantPoly.one(), ordering) == f
+        f = random_invariant(rng)
+        assert moyal_star(f, InvariantPoly.one()) == f
 
     def test_zzb_commutator_with_z2(self):
-        # quadratic inputs: both orderings see only the first-order bracket
+        # quadratic inputs: the product sees only the first-order bracket
         zzb, z2 = InvariantPoly.zzbar(), M(2, 0)
-        for ordering in ("standard", "symmetric"):
-            got = moyal_star(zzb, z2, ordering) - moyal_star(z2, zzb, ordering)
-            assert got == M(2, 0, ih1(-2)), ordering
-
-    def test_symmetric_half_shifts(self):
-        # z * zb = z zb + i h1/2 and zb * z = z zb - i h1/2 in symmetric
-        # ordering; probed through even elements: [z^2, zb^2] at first order
-        z2, zb2 = M(2, 0), M(0, 2)
-        sym = moyal_star(z2, zb2, "symmetric")
-        assert sym.coefficient((1, 1)) == ih1(2)  # 2*2 * (i h1/2)
+        got = moyal_star(zzb, z2) - moyal_star(z2, zzb)
+        assert got == M(2, 0, ih1(-2))
 
     def test_degeneration_small(self):
         rng = random.Random(8)
         for _ in range(25):
             f, g = random_invariant(rng, 6), random_invariant(rng, 6)
-            assert star(f, g).subs_h2_zero() == moyal_star(
-                f.subs_h2_zero(), g.subs_h2_zero(), "standard"
-            )
-
-    def test_orderings_intertwined_by_gauss_map(self):
-        # sym(f, g) == N^{-1}( std(N f, N g) ) with N = exp(-(i h1/2) dz dzb)
-        minus = ScalarPoly.monomial(GaussianRational.of(0, Fraction(-1, 2)), 1, 0)
-        plus = ScalarPoly.monomial(GaussianRational.of(0, Fraction(1, 2)), 1, 0)
-        rng = random.Random(10)
-        for _ in range(20):
-            f, g = random_invariant(rng, 6), random_invariant(rng, 6)
-            f0, g0 = f.subs_h2_zero(), g.subs_h2_zero()
-            lhs = moyal_star(f0, g0, "symmetric")
-            rhs = gauss_map(
-                moyal_star(gauss_map(f0, minus), gauss_map(g0, minus), "standard"), plus
-            )
-            assert lhs == rhs
-
-    def test_symmetric_associative(self):
-        rng = random.Random(12)
-        for _ in range(15):
-            f, g, h = (random_invariant(rng, 4) for _ in range(3))
-            assert moyal_star(moyal_star(f, g, "symmetric"), h, "symmetric") == moyal_star(
-                f, moyal_star(g, h, "symmetric"), "symmetric"
-            )
+            assert star(f, g).subs_h2_zero() == moyal_star(f.subs_h2_zero(), g.subs_h2_zero())

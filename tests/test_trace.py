@@ -67,7 +67,7 @@ class TestPhi:
             value = phi(m)
             lo, hi = h1_range(value)
             assert lo >= 0 and hi <= m.degree() // 2
-            assert value.h2_bounded_by_h1()
+            assert all(b <= a for (a, b) in value.term_map())
 
 
 class TestRecursionScalars:
@@ -122,12 +122,16 @@ class TestIntegerClassScalars:
         assert len(trace._CLASS_ROWS) == 10
 
     def test_ch_phi_agrees_with_scaled_class_scalars(self):
-        # ch_phi folds k! into the row denominator; the old path scaled each
-        # class scalar by 1/k!, one Gaussian rational product per coefficient
-        series = ch_phi(60)
+        # ch_phi folds k! into the row denominator and reduces each coefficient
+        # by a gcd against the row denominator, then one against k!; the old
+        # path scaled each class scalar by 1/k!, one Gaussian rational product
+        # per coefficient
+        series = ch_phi(150)
         for k, got in enumerate(series.coeffs):
             want = class_scalar(k).scale(GaussianRational.of(Fraction(1, factorial(k))))
             assert got == want and got.to_json() == want.to_json(), f"k={k}"
+            for c in got.term_map().values():
+                assert c._d > 0 and gcd(c._r, c._s, c._d) == 1, f"k={k}"
 
 class TestTraceDefect:
     def test_examples(self):
