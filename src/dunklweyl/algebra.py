@@ -17,14 +17,10 @@ at the end.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterator, Mapping
 
-from .scalars import ScalarPoly, TermMap, _reduced
+from .scalars import ScalarPoly, TermMap, _stored, _view
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
-# One term's scalar: {(h1 exponent, h2 exponent): (r, s)}, numerators of (r + s*i)/d
-Cells = dict[tuple[int, int], tuple[int, int]]
 
 # Keys (q, p) cached by _reorder; the suite battery touches about 200, all <= 14.
 REORDER_CACHE_SIZE = 512
@@ -79,27 +75,13 @@ def _reorder(q: int, p: int) -> tuple[tuple, ...]:
 class SrcElement(TermMap):
     """Element of the reflection algebra in normal form.
 
-    Stored as one denominator d > 0 and a term map from (p, q, eps) to
-    integer pairs {(h1, h2): (r, s)}, standing for the sum of
-    (r + s*i)/d * h1^h1 * h2^h2 * z^p * zb^q * g^eps, in lowest terms (gcd of
-    d with every r and s is 1), so equal elements have equal storage and
-    hashes.  terms(), term_map() and coefficient() build ScalarPoly views.
+    A term map from (p, q, eps) to scalars, standing for the sum of
+    coeff * z^p * zb^q * g^eps; TermMap holds it as integer pairs over one
+    denominator.
     """
 
-    __slots__ = ("_d",)
+    __slots__ = ()
     _printer = "element_to_text"
-    _zero_coeff = ScalarPoly()
-
-    def __init__(self, terms: Mapping | None = None):
-        """The element sum coeff * z^p zb^q g^eps of a map (p, q, eps) -> ScalarPoly."""
-        TermMap.__init__(self, terms)
-        polys = self._terms
-        # over the lcm of denominators in lowest terms the pairs are primitive
-        d = self._d = lcm(*(c._d for poly in polys.values() for c in poly._terms.values()))
-        self._terms = {
-            key: {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in poly._terms.items()}
-            for key, poly in polys.items()
-        }
 
     def _key(self, key: TermKey) -> TermKey:
         p, q, eps = key
@@ -146,65 +128,15 @@ class SrcElement(TermMap):
     @staticmethod
     def y() -> "SrcElement":
         """y = (z - zb)/(2i) = -i/2 z + i/2 zb."""
-        return _element({(1, 0, 0): {(0, 0): (0, -1)}, (0, 1, 0): {(0, 0): (0, 1)}}, 2)
+        return _stored(SrcElement, {(1, 0, 0): {(0, 0): (0, -1)}, (0, 1, 0): {(0, 0): (0, 1)}}, 2)
 
-    # -- views and queries ---------------------------------------------
-
-    def terms(self) -> Iterator[tuple[TermKey, ScalarPoly]]:
-        """Terms in canonical order."""
-        return ((key, _view(self._terms[key], self._d)) for key in sorted(self._terms, key=self._order))
-
-    def term_map(self) -> dict[TermKey, ScalarPoly]:
-        return {key: _view(cells, self._d) for key, cells in self._terms.items()}
-
-    def coefficient(self, key: TermKey) -> ScalarPoly:
-        cells = self._terms.get(self._key(key))
-        return self._zero_coeff if cells is None else _view(cells, self._d)
+    # -- queries and arithmetic ------------------------------------------
 
     def gamma_free(self) -> bool:
         return all(eps == 0 for (_p, _q, eps) in self._terms)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "SrcElement") -> "SrcElement":
-        d = lcm(self._d, other._d)
-        out = {key: _times(cells, d // self._d) for key, cells in self._terms.items()}
-        m = d // other._d
-        for key, cells in other._terms.items():
-            mine = out.setdefault(key, {})
-            for hk, (r, s) in cells.items():
-                r0, s0 = mine.get(hk, (0, 0))
-                r, s = r0 + r * m, s0 + s * m
-                if r or s:
-                    mine[hk] = (r, s)
-                else:
-                    del mine[hk]
-            if not mine:
-                del out[key]
-        return _primitive(out, d)
-
-    def __neg__(self) -> "SrcElement":
-        neg = {key: {hk: (-r, -s) for hk, (r, s) in cells.items()} for key, cells in self._terms.items()}
-        return _element(neg, self._d)
-
-    def scale(self, c: ScalarPoly) -> "SrcElement":
-        """Every coefficient times the scalar c."""
-        return SrcElement({key: v * c for key, v in self.term_map().items()})
-
-    def subs_h2_zero(self) -> "SrcElement":
-        kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}
-        return _primitive({key: cells for key, cells in kept.items() if cells}, self._d)
-
     def __mul__(self, other: "SrcElement") -> "SrcElement":
         return mul(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SrcElement:
-            return NotImplemented
-        return self._d == other._d and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._d, frozenset((k, frozenset(v.items())) for k, v in self._terms.items())))
 
     def to_json(self) -> list:
         return [
@@ -213,44 +145,9 @@ class SrcElement(TermMap):
         ]
 
 
-_new = object.__new__
-
-
-def _element(terms: dict[TermKey, Cells], d: int) -> SrcElement:
-    """An element around storage that is already in lowest terms."""
-    out = _new(SrcElement)
-    out._terms = terms
-    out._d = d
-    return out
-
-
 def _units(d: int, *keys: TermKey) -> SrcElement:
     """The sum of z^p zb^q g^eps over keys, divided by d."""
-    return _element({key: {(0, 0): (1, 0)} for key in keys}, d)
-
-
-def _primitive(terms: dict[TermKey, Cells], d: int) -> SrcElement:
-    """The element terms / d in lowest terms; divides the pairs of terms in place."""
-    g = d
-    for cells in terms.values():
-        for r, s in cells.values():
-            g = gcd(g, r, s)
-            if g == 1:
-                return _element(terms, d)
-    for cells in terms.values():
-        for hk, (r, s) in cells.items():
-            cells[hk] = (r // g, s // g)
-    return _element(terms, d // g)
-
-
-def _times(cells: Cells, m: int) -> Cells:
-    """A fresh copy of one term's pairs, each multiplied by m."""
-    return {hk: (r * m, s * m) for hk, (r, s) in cells.items()} if m != 1 else dict(cells)
-
-
-def _view(cells: Cells, d: int) -> ScalarPoly:
-    """The ScalarPoly of one term's pairs over d, each coefficient reduced."""
-    return ScalarPoly.from_clean({hk: _reduced(r, s, d) for hk, (r, s) in cells.items()})
+    return _stored(SrcElement, {key: {(0, 0): (1, 0)} for key in keys}, d)
 
 
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:
@@ -298,13 +195,8 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
         if kept:
             firsts.append((cells[next(iter(kept))][2], key))
         acc[key] = kept
-    return _primitive({key: acc[key] for _visit, key in sorted(firsts)}, a._d * b._d)
+    return _stored(SrcElement, {key: acc[key] for _visit, key in sorted(firsts)}, a._d * b._d)
 
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:
     return mul(a, b) - mul(b, a)
-
-
-def idempotent() -> SrcElement:
-    """The symmetrizing idempotent (1 + g)/2."""
-    return _units(2, (0, 0, 0), (0, 0, 1))

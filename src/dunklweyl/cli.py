@@ -105,11 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_value(args, text_value: str, json_value) -> None:
+def _emit_value(args, value, to_json=None) -> None:
+    """Print value in the requested format, building only that one: its
+    canonical text, or to_json(value) (value.to_json() by default)."""
     if args.format == "json":
-        print(json.dumps(json_value, indent=2))
+        print(json.dumps(to_json(value) if to_json else value.to_json(), indent=2))
     else:
-        print(text_value)
+        print(value.to_text())
 
 
 def _maybe_h2_zero(args, value):
@@ -118,30 +120,26 @@ def _maybe_h2_zero(args, value):
 
 def _run_command(args) -> int:
     if args.command == "nf":
-        e = _maybe_h2_zero(args, exprs.parse_element(args.expr))
-        _emit_value(args, exprs.element_to_text(e), e.to_json())
+        _emit_value(args, _maybe_h2_zero(args, exprs.parse_element(args.expr)))
         return 0
     if args.command in ("mul", "comm"):
         a = exprs.parse_element(args.lhs)
         b = exprs.parse_element(args.rhs)
         e = mul(a, b) if args.command == "mul" else commutator(a, b)
-        e = _maybe_h2_zero(args, e)
-        _emit_value(args, exprs.element_to_text(e), e.to_json())
+        _emit_value(args, _maybe_h2_zero(args, e))
         return 0
     if args.command == "star":
         from .spherical import star
 
         f = exprs.parse_invariant(args.lhs)
         g = exprs.parse_invariant(args.rhs)
-        h = _maybe_h2_zero(args, star(f, g))
-        _emit_value(args, exprs.invariant_to_text(h), h.to_json())
+        _emit_value(args, _maybe_h2_zero(args, star(f, g)))
         return 0
     if args.command == "trace":
         from .trace import phi
 
         f = exprs.parse_invariant(args.expr)
-        value = _maybe_h2_zero(args, phi(f))
-        _emit_value(args, exprs.scalar_to_text(value), value.to_json())
+        _emit_value(args, _maybe_h2_zero(args, phi(f)))
         return 0
     if args.command == "certify":
         from .hochschild import Certificate, check_certificate, reduce_certificate
@@ -157,7 +155,7 @@ def _run_command(args) -> int:
                 return 2
             cert = Certificate.from_json(text)
             ok = check_certificate(cert)
-            _emit_value(args, "ok" if ok else "FAIL", {"ok": ok})
+            print(json.dumps({"ok": ok}, indent=2) if args.format == "json" else "ok" if ok else "FAIL")
             return 0 if ok else 1
         f = exprs.parse_invariant(args.expr)
         terms = list(f.terms())
@@ -194,23 +192,18 @@ def _run_command(args) -> int:
         from .index import FormPoly, index_form
 
         deg = 2 * (args.n - 1)
-        rt = [
-            None if s == "0" else FormPoly.symbol(s, deg) for s in args.rt
-        ]
+        rt = [None if s == "0" else FormPoly.symbol(s, deg) for s in args.rt]
         if len(rt) < args.n - 1:
             rt += [None] * (args.n - 1 - len(rt))
         theta = FormPoly.symbol(args.theta, deg) if args.theta else None
         rn = FormPoly.symbol(args.rn, deg) if args.rn else None
-        result = index_form(rt, theta, rn, args.n)
-        result = _maybe_h2_zero(args, result)
-        _emit_value(args, exprs.form_to_text(result), result.to_json())
+        _emit_value(args, _maybe_h2_zero(args, index_form(rt, theta, rn, args.n)))
         return 0
     if args.command == "localtrace":
         from .index import local_trace_density
 
         F = exprs.eval_local(exprs.parse(args.expr), args.n - 1)
-        density = _maybe_h2_zero(args, local_trace_density(F))
-        _emit_value(args, exprs.local_to_text(density), _local_json(density))
+        _emit_value(args, _maybe_h2_zero(args, local_trace_density(F)), _local_json)
         return 0
     if args.command == "verify":
         from .suites import RunConfig, run_suite

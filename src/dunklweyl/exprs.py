@@ -329,40 +329,32 @@ def parse_invariant(src: str) -> InvariantPoly:
 
 def parse_scalar(src: str) -> ScalarPoly:
     e = parse_element(src)
-    out = ScalarPoly.zero()
-    for (p, q, eps), c in e.term_map().items():
-        if (p, q, eps) != (0, 0, 0):
-            raise EvalError("expected a pure scalar expression")
-        out = out + c
-    return out
+    c = e.coefficient((0, 0, 0))
+    if e != SrcElement.scalar(c):
+        raise EvalError("expected a pure scalar expression")
+    return c
 
 
 # -- canonical printing ---------------------------------------------------
 
 
-def _rat_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _rat_str(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _coeff_parts(c: GaussianRational) -> tuple[bool, list[str]]:
     """(is_negative, factor strings) for a Gaussian rational coefficient."""
-    re, im = c.re, c.im  # each read builds a Fraction
-    if im == 0:
-        neg = re < 0
-        mag = abs(re)
-        return neg, [] if mag == 1 else [_rat_str(mag)]
-    if re == 0:
-        neg = im < 0
-        mag = abs(im)
-        return neg, ["i"] if mag == 1 else [_rat_str(mag), "i"]
+    rn, rd, sn, sd = c.parts()
+    if not sn:
+        return rn < 0, [] if abs(rn) == rd == 1 else [_rat_str(abs(rn), rd)]
+    if not rn:
+        return sn < 0, ["i"] if abs(sn) == sd == 1 else [_rat_str(abs(sn), sd), "i"]
     # mixed coefficients keep their signs inside the parentheses
-    if im > 0:
-        im_part = "+i" if im == 1 else f"+{_rat_str(im)}*i"
+    if abs(sn) == sd == 1:
+        im_part = "+i" if sn > 0 else "-i"
     else:
-        im_part = "-i" if im == -1 else f"-{_rat_str(abs(im))}*i"
-    return False, [f"({_rat_str(re)}{im_part})"]
+        im_part = f"{'+' if sn > 0 else '-'}{_rat_str(abs(sn), sd)}*i"
+    return False, [f"({_rat_str(rn, rd)}{im_part})"]
 
 
 def _append_power(parts: list[str], name: str, exp: int) -> None:

@@ -28,6 +28,7 @@ from .scalars import (
     ScalarPoly,
     TermMap,
     TruncSeries,
+    _summed,
     accumulate,
     power_sum,
     series_exp,
@@ -56,7 +57,6 @@ class FormPoly(TermMap):
 
     __slots__ = ("max_form_degree",)
     _printer = "form_to_text"
-    _zero_coeff = ScalarPoly()
 
     def __init__(
         self,
@@ -78,24 +78,16 @@ class FormPoly(TermMap):
     def _order(key: SymKey) -> tuple[int, SymKey]:
         return (_sym_degree(key), key)
 
-    def _new(self, terms: dict) -> "FormPoly":
-        out = TermMap._new(self, terms)
+    def _new(self, terms: dict, d: int) -> "FormPoly":
+        out = TermMap._new(self, terms, d)
         out.max_form_degree = self.max_form_degree
         return out
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(max_form_degree: int) -> "FormPoly":
-        return FormPoly({}, max_form_degree)
-
-    @staticmethod
     def one(max_form_degree: int) -> "FormPoly":
         return FormPoly({(): ScalarPoly.one()}, max_form_degree)
-
-    @staticmethod
-    def scalar(c: ScalarPoly, max_form_degree: int) -> "FormPoly":
-        return FormPoly({(): c}, max_form_degree)
 
     @staticmethod
     def symbol(name: str, max_form_degree: int) -> "FormPoly":
@@ -105,7 +97,7 @@ class FormPoly(TermMap):
 
     def degree_component(self, d: int) -> "FormPoly":
         return FormPoly(
-            {k: c for k, c in self._terms.items() if _sym_degree(k) == d},
+            {k: c for k, c in self.term_map().items() if _sym_degree(k) == d},
             self.max_form_degree,
         )
 
@@ -119,13 +111,14 @@ class FormPoly(TermMap):
 
     def __add__(self, other: "FormPoly") -> "FormPoly":
         # a sum is known only up to the smaller truncation degree
-        return FormPoly(TermMap.__add__(self, other)._terms, self._out_degree(other))
+        return FormPoly(TermMap.__add__(self, other).term_map(), self._out_degree(other))
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
         deg = self._out_degree(other)
         out: dict[SymKey, ScalarPoly] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        right = other.term_map().items()
+        for k1, c1 in self.term_map().items():
+            for k2, c2 in right:
                 key = _merge_exponents(k1, k2)
                 if _sym_degree(key) <= deg:
                     accumulate(out, key, c1 * c2)
@@ -237,7 +230,6 @@ class LocalElement(TermMap):
 
     __slots__ = ()
     _printer = "local_to_text"
-    _zero_coeff = ScalarPoly()
 
     def _key(self, key: LocalKey) -> LocalKey:
         base, p, q, eps = key
@@ -256,18 +248,6 @@ class LocalElement(TermMap):
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "LocalElement":
-        return LocalElement()
-
-    @staticmethod
-    def one() -> "LocalElement":
-        return LocalElement({((), 0, 0, 0): ScalarPoly.one()})
-
-    @staticmethod
-    def scalar(c: ScalarPoly) -> "LocalElement":
-        return LocalElement({((), 0, 0, 0): c})
-
-    @staticmethod
     def base_monomial(exps: Mapping[int, int], coeff: ScalarPoly | None = None) -> "LocalElement":
         return LocalElement(
             {(tuple(exps.items()), 0, 0, 0): coeff if coeff is not None else ScalarPoly.one()}
@@ -279,18 +259,7 @@ class LocalElement(TermMap):
 
     @staticmethod
     def from_fiber(e: SrcElement) -> "LocalElement":
-        return LocalElement({((), p, q, eps): c for (p, q, eps), c in e.term_map().items()})
-
-    @staticmethod
-    def product(base: "LocalElement", fiber: SrcElement) -> "LocalElement":
-        """base (fiber-free) times a fiber element, as a plain tensor."""
-        out: dict[LocalKey, ScalarPoly] = {}
-        for (bkey, p0, q0, e0), c0 in base._terms.items():
-            if (p0, q0, e0) != (0, 0, 0):
-                raise ValueError("base factor carries fiber variables")
-            for (p, q, eps), c in fiber.term_map().items():
-                out[(bkey, p, q, eps)] = c0 * c
-        return LocalElement(out)
+        return _summed(LocalElement, ((((), *key), cells) for key, cells in e._terms.items()), e._d)
 
     # -- structure -----------------------------------------------------
 
@@ -335,10 +304,8 @@ def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
 
 def fiber_fold(F: LocalElement) -> LocalElement:
     """Fold the fiber reflection generator onto 1 (corner identification)."""
-    out: dict[LocalKey, ScalarPoly] = {}
-    for (base, p, q, _eps), c in F.term_map().items():
-        accumulate(out, (base, p, q, 0), c)
-    return LocalElement(out)
+    pairs = (((base, p, q, 0), cells) for (base, p, q, _eps), cells in F._terms.items())
+    return _summed(LocalElement, pairs, F._d)
 
 
 def local_trace_density(F: LocalElement) -> LocalElement:

@@ -67,6 +67,13 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._s, self._d)
 
+    def parts(self) -> tuple[int, int, int, int]:
+        """(re numerator, re denominator, im numerator, im denominator) in
+        lowest terms, with one gcd per part; what printers and JSON read."""
+        r, s, d = self._r, self._s, self._d
+        g, h = gcd(r, d), gcd(s, d)
+        return r // g, d // g, s // h, d // h
+
     # __add__ and __mul__ run once per coefficient sum and product of every
     # engine layer, so they inline _reduced instead of calling it.
 
@@ -184,7 +191,7 @@ GR_I = GaussianRational.of(0, 1)
 def accumulate(out: dict, key, value) -> None:
     """Add value to out[key], dropping the entry when the sum is zero.
 
-    The one place where a term map is summed into; values need `+` and
+    The one place where a map of scalars is summed into; values need `+` and
     `is_zero`.
     """
     s = out.get(key)
@@ -195,124 +202,24 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = s
 
 
-class TermMap:
-    """Sparse map from monomial keys to nonzero coefficients.
+class ScalarPoly:
+    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
 
-    The linear structure shared by every coefficient container.  A subclass
-    chooses how keys are checked (`_key`), the canonical term order
-    (`_order`), the zero coefficient returned for absent keys and the
-    printer in the exprs module.  Zero coefficients are never stored, and
-    instances are treated as immutable.
+    The coefficient ring of every term map, stored as a map (a, b) -> nonzero
+    GaussianRational.  The h1 exponent may be negative, the h2 exponent may
+    not.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms",)
-    _printer: str  # name of the canonical printer in the exprs module
-    _zero_coeff: object  # the coefficient of an absent key
 
     def __init__(self, terms: Mapping | None = None):
         cleaned: dict = {}
-        if terms:
-            for key, c in terms.items():
-                key = self._key(key)
-                if key is not None:
-                    accumulate(cleaned, key, c)
+        for key, c in (terms or {}).items():
+            _a, b = key
+            if b < 0:
+                raise ValueError("h2 exponent must be non-negative")
+            accumulate(cleaned, key, c)
         self._terms = cleaned
-
-    def _key(self, key):
-        """The checked, normalised form of a key; None drops the term."""
-        return key
-
-    @staticmethod
-    def _order(key):
-        """Sort key of a term key in canonical order."""
-        return key
-
-    def _new(self, terms: dict):
-        """An instance of this class around terms that are already clean."""
-        out = object.__new__(type(self))
-        out._terms = terms
-        return out
-
-    # -- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> Iterator:
-        """Terms in canonical order."""
-        order = self._order
-        return iter(sorted(self._terms.items(), key=lambda kv: order(kv[0])))
-
-    def term_map(self) -> dict:
-        return dict(self._terms)
-
-    def coefficient(self, key):
-        """The coefficient of one monomial; zero when it is absent."""
-        return self._terms.get(self._key(key), self._zero_coeff)
-
-    # -- linear structure ----------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            accumulate(out, key, c)
-        return self._new(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._new({k: -c for k, c in self._terms.items()})
-
-    def scale(self, c):
-        """Every coefficient times c (the coefficient ring has no zero divisors)."""
-        if c.is_zero():
-            return self._new({})
-        return self._new({k: v * c for k, v in self._terms.items()})
-
-    def subs_h2_zero(self):
-        out: dict = {}
-        for key, c in self._terms.items():
-            accumulate(out, key, c.subs_h2_zero())
-        return self._new(out)
-
-    # -- protocol ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from . import exprs
-
-        return getattr(exprs, self._printer)(self)
-
-
-class ScalarPoly(TermMap):
-    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
-
-    The h1 exponent may be negative, the h2 exponent may not.
-    """
-
-    __slots__ = ()
-    _printer = "scalar_to_text"
-    _zero_coeff = GR_ZERO
-
-    def _key(self, key: tuple[int, int]) -> tuple[int, int]:
-        _a, b = key
-        if b < 0:
-            raise ValueError("h2 exponent must be non-negative")
-        return key
 
     # -- constructors -------------------------------------------------
 
@@ -354,17 +261,48 @@ class ScalarPoly(TermMap):
 
     # -- queries -------------------------------------------------------
 
+    def is_zero(self) -> bool:
+        return not self._terms
+
     def is_one(self) -> bool:
         return self._terms == {(0, 0): GR_ONE}
 
+    def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
+        """Terms in canonical order: by (h1, h2) exponent."""
+        return iter(sorted(self._terms.items()))
+
+    def term_map(self) -> dict[tuple[int, int], GaussianRational]:
+        return dict(self._terms)
+
+    def coefficient(self, key: tuple[int, int]) -> GaussianRational:
+        return self._terms.get(key, GR_ZERO)
+
     # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            accumulate(out, key, c)
+        return ScalarPoly.from_clean(out)
+
+    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "ScalarPoly":
+        return ScalarPoly.from_clean({k: -c for k, c in self._terms.items()})
+
+    def scale(self, c: GaussianRational) -> "ScalarPoly":
+        """Every coefficient times the Gaussian rational c."""
+        if c.is_zero():
+            return ScalarPoly()
+        return ScalarPoly.from_clean({k: v * c for k, v in self._terms.items()})
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         out: dict[tuple[int, int], GaussianRational] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
-        return self._new(out)
+        return ScalarPoly.from_clean(out)
 
     def pow(self, n: int) -> "ScalarPoly":
         if n < 0:
@@ -387,22 +325,206 @@ class ScalarPoly(TermMap):
         return ScalarPoly({(-a, 0): c.inverse()})
 
     def subs_h2_zero(self) -> "ScalarPoly":
-        return self._new({k: c for k, c in self._terms.items() if k[1] == 0})
+        return ScalarPoly.from_clean({k: c for k, c in self._terms.items() if k[1] == 0})
+
+    # -- protocol ------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ScalarPoly:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"ScalarPoly({self.to_text()})"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def to_text(self) -> str:
+        from . import exprs
+
+        return exprs.scalar_to_text(self)
 
     def to_json(self) -> list:
         """Canonical JSON form: sorted [a, b, re_num, re_den, im_num, im_den]."""
-        out = []
-        for (a, b), c in self.terms():
-            re, im = c.re, c.im  # each read builds a Fraction
-            out.append([a, b, re.numerator, re.denominator, im.numerator, im.denominator])
-        return out
+        return [[a, b, *c.parts()] for (a, b), c in self.terms()]
+
+
+# One term's scalar in a term map: {(h1 exponent, h2 exponent): (r, s)},
+# numerators of (r + s*i)/d over the map's one denominator d.
+Cells = dict[tuple[int, int], tuple[int, int]]
+
+
+def _view(cells: Cells, d: int) -> ScalarPoly:
+    """The ScalarPoly of one term's pairs over d, each coefficient reduced."""
+    return ScalarPoly.from_clean({hk: _reduced(r, s, d) for hk, (r, s) in cells.items()})
+
+
+def _lift(polys: dict) -> tuple[dict, int]:
+    """A map key -> nonzero ScalarPoly as (terms, d): over the lcm of the
+    reduced denominators the pairs are already in lowest terms."""
+    d = lcm(*(c._d for poly in polys.values() for c in poly._terms.values()))
+    terms = {
+        key: {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in poly._terms.items()}
+        for key, poly in polys.items()
+    }
+    return terms, d
+
+
+def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
+    """Add m * cells into out[key]: the one merge of every term map.
+
+    A new key goes last, a pair or key that cancels drops, and a key keeps
+    its position while it lasts, as a dict of ScalarPoly sums would order it.
+    Copies cells on first sight, so out owns every pair map it holds.
+    """
+    mine = out.get(key)
+    if mine is None:
+        out[key] = {hk: (r * m, s * m) for hk, (r, s) in cells.items()}
+        return
+    for hk, (r, s) in cells.items():
+        r0, s0 = mine.get(hk, (0, 0))
+        r, s = r0 + r * m, s0 + s * m
+        if r or s:
+            mine[hk] = (r, s)
+        else:
+            del mine[hk]
+    if not mine:
+        del out[key]
+
+
+def _lowest(terms: dict, d: int) -> tuple[dict, int]:
+    """terms / d in lowest terms; divides the pairs of terms in place."""
+    g = d
+    for cells in terms.values():
+        for r, s in cells.values():
+            g = gcd(g, r, s)
+            if g == 1:
+                return terms, d
+    for cells in terms.values():
+        for hk, (r, s) in cells.items():
+            cells[hk] = (r // g, s // g)
+    return terms, d // g
+
+
+def _stored(cls, terms: dict, d: int):
+    """A cls around terms / d in lowest terms; terms must be its own."""
+    out = _new(cls)
+    out._terms, out._d = _lowest(terms, d)
+    return out
+
+
+def _summed(cls, pairs: Iterable, d: int):
+    """The cls sum over (key, cells) pairs, all over d, each through _merge."""
+    out: dict = {}
+    for key, cells in pairs:
+        _merge(out, key, cells)
+    return _stored(cls, out, d)
+
+
+class TermMap:
+    """Sparse map from monomial keys to nonzero scalars in Q(i)[h1^+-1, h2].
+
+    The linear structure of every element container, stored as one
+    denominator d > 0 and {key: {(h1, h2): (r, s)}}, standing for the sum of
+    (r + s*i)/d * h1^h1 * h2^h2 * key.  The storage is in lowest terms (the
+    gcd of d with every r and s is 1, and zero has d == 1), so equal values
+    have equal storage and hashes.  A subclass checks and normalises keys
+    (`_key`, whose None drops a term) and chooses the canonical term order
+    (`_order`) and the printer in the exprs module.  terms(), term_map() and
+    coefficient() build ScalarPoly views; instances are treated as immutable.
+    """
+
+    __slots__ = ("_terms", "_d")
+    _printer: str  # name of the canonical printer in the exprs module
+
+    def __init__(self, terms: Mapping | None = None):
+        """The sum of coeff * key over a map key -> ScalarPoly."""
+        polys: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            if key is not None:
+                accumulate(polys, key, c)
+        self._terms, self._d = _lift(polys)
 
     @staticmethod
-    def from_json(data: Iterable) -> "ScalarPoly":
-        terms = {}
-        for a, b, rn, rd, imn, imd in data:
-            terms[(a, b)] = GaussianRational(Fraction(rn, rd), Fraction(imn, imd))
-        return ScalarPoly(terms)
+    def _order(key):
+        """Sort key of a term key in canonical order."""
+        return key
+
+    def _new(self, terms: dict, d: int):
+        """An instance of this class around terms / d, brought to lowest terms."""
+        return _stored(type(self), terms, d)
+
+    # -- queries -------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> Iterator:
+        """Terms in canonical order, with ScalarPoly coefficients."""
+        d = self._d
+        return ((key, _view(self._terms[key], d)) for key in sorted(self._terms, key=self._order))
+
+    def term_map(self) -> dict:
+        return {key: _view(cells, self._d) for key, cells in self._terms.items()}
+
+    def coefficient(self, key) -> ScalarPoly:
+        """The coefficient of one monomial; zero when it is absent."""
+        cells = self._terms.get(self._key(key))
+        return ScalarPoly() if cells is None else _view(cells, self._d)
+
+    # -- linear structure ----------------------------------------------
+
+    def __add__(self, other):
+        d = lcm(self._d, other._d)
+        out: dict = {}
+        for x in (self, other):
+            m = d // x._d
+            for key, cells in x._terms.items():
+                _merge(out, key, cells, m)
+        return self._new(out, d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        neg = {key: {hk: (-r, -s) for hk, (r, s) in cells.items()} for key, cells in self._terms.items()}
+        return self._new(neg, self._d)
+
+    def scale(self, c: ScalarPoly):
+        """Every coefficient times the scalar c."""
+        if c.is_zero():
+            return self._new({}, 1)
+        return self._new(*_lift({key: v * c for key, v in self.term_map().items()}))
+
+    def subs_h2_zero(self):
+        kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}
+        return self._new({key: cells for key, cells in kept.items() if cells}, self._d)
+
+    # -- protocol ------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._d == other._d and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._d, frozenset((k, frozenset(v.items())) for k, v in self._terms.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def to_text(self) -> str:
+        from . import exprs
+
+        return getattr(exprs, self._printer)(self)
 
 
 class TruncSeries:
@@ -425,10 +547,6 @@ class TruncSeries:
         coeffs += [ScalarPoly.zero()] * (order + 1 - len(coeffs))
         self.coeffs = coeffs
         self.order = order
-
-    @staticmethod
-    def zero(order: int) -> "TruncSeries":
-        return TruncSeries([], order)
 
     @staticmethod
     def one(order: int) -> "TruncSeries":

@@ -18,17 +18,17 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate
+from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap
+from .scalars import _merge, _stored, _summed, accumulate
 
 PairKey = tuple[int, int]
 
 
 class InvariantPoly(TermMap):
-    """Invariant polynomial: term map (p, q) -> ScalarPoly with p + q even."""
+    """Invariant polynomial: term map from (p, q), p + q even, to scalars."""
 
     __slots__ = ()
     _printer = "invariant_to_text"
-    _zero_coeff = ScalarPoly()
 
     def _key(self, key: PairKey) -> PairKey:
         p, q = key
@@ -73,10 +73,11 @@ class InvariantPoly(TermMap):
     def poly_mul(self, other: "InvariantPoly") -> "InvariantPoly":
         """Plain commutative polynomial product (no star corrections)."""
         out: dict[PairKey, ScalarPoly] = {}
-        for (p1, q1), c1 in self._terms.items():
-            for (p2, q2), c2 in other._terms.items():
+        right = other.term_map().items()
+        for (p1, q1), c1 in self.term_map().items():
+            for (p2, q2), c2 in right:
                 accumulate(out, (p1 + p2, q1 + q2), c1 * c2)
-        return self._new(out)
+        return InvariantPoly(out)
 
     def poly_pow(self, n: int) -> "InvariantPoly":
         out = InvariantPoly.one()
@@ -86,29 +87,25 @@ class InvariantPoly(TermMap):
 
     def to_element(self) -> SrcElement:
         """The normal-form word with the same exponents (reflection-free)."""
-        return SrcElement({(p, q, 0): c for (p, q), c in self._terms.items()})
+        pairs = (((p, q, 0), cells) for (p, q), cells in self._terms.items())
+        return _summed(SrcElement, pairs, self._d)
 
     def to_json(self) -> list:
         return [{"z": p, "zb": q, "coeff": c.to_json()} for (p, q), c in self.terms()]
 
 
-def embed(f: InvariantPoly) -> SrcElement:
-    """f as the corner element f*e, with e = (1+g)/2."""
-    return algebra.mul(f.to_element(), algebra.idempotent())
-
-
 def _fold(e: SrcElement) -> InvariantPoly:
     """Fold g onto 1 (g*e = e) and read off the invariant polynomial."""
-    out: dict[PairKey, ScalarPoly] = {}
-    for (p, q, _eps), c in e.term_map().items():
+    out: dict = {}
+    for (p, q, _eps), cells in e._terms.items():
         if (p + q) % 2 != 0:
             raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
-        accumulate(out, (p, q), c)
-    return InvariantPoly(out)
+        _merge(out, (p, q), cells)
+    return _stored(InvariantPoly, out, e._d)
 
 
 def star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
-    """The induced star product: the unique h with embed(h) = embed(f)*embed(g).
+    """The induced star product: the unique h with h*e = (f*e)*(g*e), e = (1+g)/2.
 
     Computed by multiplying the reflection-free words in the big algebra and
     folding the reflection generator; on the invariant corner the fold is a

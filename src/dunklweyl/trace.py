@@ -16,25 +16,24 @@ constructively, and the two routes are required to agree exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd
 
 from .scalars import GaussianRational, ScalarPoly, TruncSeries, _reduced
-from .spherical import InvariantPoly, star, star_commutator
+from .spherical import InvariantPoly, star_commutator
+
+
+def _step(l: int) -> tuple[int, int, int]:
+    """The l-th deformation factor l/2 + (-1)^(l+1) * 2*floor((l+1)/2)*h2/(l+1)
+    as integers (c0, c1, den) with factor (c0 + c1*h2) / den."""
+    return l * (l + 1), (4 if l % 2 else -4) * ((l + 1) // 2), 2 * (l + 1)
 
 
 def step_factor(l: int) -> ScalarPoly:
-    """The l-th deformation factor l/2 + (-1)^(l+1) * 2*floor((l+1)/2)*h2/(l+1)."""
+    """The l-th deformation factor, as a scalar."""
     if l < 1:
         raise ValueError("step index starts at 1")
-    sign = 1 if l % 2 == 1 else -1
-    h2_coeff = Fraction(2 * ((l + 1) // 2), l + 1) * sign
-    return ScalarPoly(
-        {
-            (0, 0): GaussianRational.of(Fraction(l, 2)),
-            (0, 1): GaussianRational.of(h2_coeff),
-        }
-    )
+    c0, c1, den = _step(l)
+    return ScalarPoly.from_clean({(0, 0): _reduced(c0, 0, den), (0, 1): _reduced(c1, 0, den)})
 
 
 def recursion_scalar(k: int) -> ScalarPoly:
@@ -63,13 +62,11 @@ def _class_over(k: int, divisor: int) -> ScalarPoly:
     while len(_CLASS_ROWS) <= k:
         l = len(_CLASS_ROWS)
         nums, den = _CLASS_ROWS[-1]
-        # step_factor(l) = (l*(l+1) + sign*4*floor((l+1)/2)*h2) / (2*(l+1))
-        c0 = l * (l + 1)
-        c1 = (4 if l % 2 else -4) * ((l + 1) // 2)
+        c0, c1, step_den = _step(l)
         new = [c0 * n for n in nums] + [0]
         for j, n in enumerate(nums):
             new[j + 1] += c1 * n
-        den *= 2 * (l + 1)
+        den *= step_den
         g = gcd(den, *new)
         _CLASS_ROWS.append((tuple(n // g for n in new), den // g))
     nums, den = _CLASS_ROWS[k]
@@ -85,16 +82,6 @@ def phi(f: InvariantPoly) -> ScalarPoly:
     for (p, q), c in f.terms():
         if p == q:
             out = out + class_scalar(p) * c
-    return out
-
-
-def star_power(f: InvariantPoly, k: int) -> InvariantPoly:
-    """k-fold star product; the empty product is 1."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = InvariantPoly.one()
-    for _ in range(k):
-        out = star(out, f)
     return out
 
 

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from dunklweyl import algebra
+from dunklweyl.algebra import SrcElement
 from dunklweyl.scalars import GaussianRational, ScalarPoly
+from dunklweyl.spherical import InvariantPoly, star
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -36,3 +39,34 @@ def h1_range(sp: ScalarPoly) -> tuple[int, int]:
 @pytest.fixture
 def half() -> ScalarPoly:
     return ScalarPoly.from_rational(Fraction(1, 2))
+
+
+# -- helpers that have no caller in the package ------------------------------
+
+
+def idempotent() -> SrcElement:
+    """The symmetrizing idempotent e = (1 + g)/2."""
+    half = ScalarPoly.from_rational(Fraction(1, 2))
+    return SrcElement({(0, 0, 0): half, (0, 0, 1): half})
+
+
+def embed(f: InvariantPoly) -> SrcElement:
+    """f as the corner element f*e."""
+    return algebra.mul(f.to_element(), idempotent())
+
+
+def star_power(f: InvariantPoly, k: int) -> InvariantPoly:
+    """k-fold star product; the empty product is 1."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    out = InvariantPoly.one()
+    for _ in range(k):
+        out = star(out, f)
+    return out
+
+
+def scalar_from_json(data) -> ScalarPoly:
+    """The ScalarPoly of its canonical JSON form."""
+    return ScalarPoly(
+        {(a, b): GaussianRational.of(Fraction(rn, rd), Fraction(imn, imd)) for a, b, rn, rd, imn, imd in data}
+    )

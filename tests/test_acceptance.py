@@ -46,7 +46,8 @@ from dunklweyl.spherical import (
     star_commutator,
 )
 from dunklweyl.suites import RunConfig, _random_element, _random_unit_series, run_suite
-from dunklweyl.trace import ch_phi, phi, recursion_scalar, star_power, trace_defect
+from dunklweyl.trace import ch_phi, phi, recursion_scalar, trace_defect
+from tests.conftest import star_power
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -199,10 +200,11 @@ def test_criterion_9_local_trace_density():
                 {v: rng.randint(0, 2) for v in range(2 * (n - 1))}
             )
             g = monos[rng.randrange(len(monos))]
-            F = LocalElement.product(base, g.to_element())
+            F = local_star(base, LocalElement.from_fiber(g.to_element()))
             assert local_trace_density(F) == base.scale(phi(g))
             cases += 1
-    assert local_trace_density(LocalElement.one()) == LocalElement.one()
+    one = LocalElement.base_monomial({})
+    assert local_trace_density(one) == one
     for _ in range(10):
         f = monos[rng.randrange(len(monos))]
         g = monos[rng.randrange(len(monos))]

@@ -1,23 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, isqrt, lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dunklweyl import algebra
-from dunklweyl.algebra import (
-    SrcElement,
-    commutator,
-    idempotent,
-    mul,
-)
+from dunklweyl import algebra, cli, exprs, index, scalars, spherical
+from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.exprs import parse_element
-from dunklweyl.scalars import GaussianRational, ScalarPoly, TermMap, _reduced, accumulate
-from tests.conftest import scalar_polys
+from dunklweyl.index import FormPoly, LocalElement
+from dunklweyl.scalars import ExtractionError, GaussianRational, ScalarPoly, TermMap, _reduced, accumulate
+from dunklweyl.spherical import InvariantPoly
+from tests.conftest import idempotent, scalar_polys
 
 
 def ih1(mult=1, h2=0):
@@ -101,19 +101,96 @@ def ref_mul(a: SrcElement, b: SrcElement) -> SrcElement:
     return SrcElement(out)
 
 
-# -- reference element ---------------------------------------------------------
-# The element class before integer storage: a term map (p, q, eps) -> ScalarPoly
-# with the product kernel it used, one flat accumulator keyed (p, q, eps, h1, h2)
-# over a common denominator, read out in insertion order.  SrcElement must agree
-# with it on values, canonical text and JSON, and the order term_map() lists
-# terms in, which decides the term that the errors of spherical._fold and
-# index.local_trace_density name.
+# -- reference term map --------------------------------------------------------
+# The generic term map every container used before integer storage: a dict
+# key -> ScalarPoly summed through accumulate.  The integer storage of
+# scalars.TermMap must agree with it on values, canonical text and JSON, and the
+# order term_map() lists keys in, which decides the term that the errors of
+# spherical._fold, the star and trace inputs and index.local_trace_density name.
 
 
-class RefElement(TermMap):
+class RefTermMap:
+    __slots__ = ("_terms",)
+    _printer: str
+
+    def __init__(self, terms=None):
+        cleaned: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            if key is not None:
+                accumulate(cleaned, key, c)
+        self._terms = cleaned
+
+    def _key(self, key):
+        return key
+
+    @staticmethod
+    def _order(key):
+        return key
+
+    def _new(self, terms: dict):
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self):
+        order = self._order
+        return iter(sorted(self._terms.items(), key=lambda kv: order(kv[0])))
+
+    def term_map(self) -> dict:
+        return dict(self._terms)
+
+    def coefficient(self, key):
+        return self._terms.get(self._key(key), ScalarPoly())
+
+    def __add__(self, other):
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            accumulate(out, key, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def scale(self, c):
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: v * c for k, v in self._terms.items()})
+
+    def subs_h2_zero(self):
+        out: dict = {}
+        for key, c in self._terms.items():
+            accumulate(out, key, c.subs_h2_zero())
+        return self._new(out)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def to_text(self) -> str:
+        from dunklweyl import exprs
+
+        return getattr(exprs, self._printer)(self)
+
+
+# The element class before integer storage, with the product kernel it used:
+# one flat accumulator keyed (p, q, eps, h1, h2) over a common denominator,
+# read out in insertion order.
+
+
+class RefElement(RefTermMap):
     __slots__ = ()
     _printer = "element_to_text"
-    _zero_coeff = ScalarPoly()
     _key = SrcElement._key
     _order = staticmethod(SrcElement._order)
 
@@ -160,8 +237,80 @@ def ref_kernel_mul(a: RefElement, b: RefElement) -> RefElement:
     return RefElement({key: ScalarPoly(terms) for key, terms in grouped.items()})
 
 
-def assert_lowest_terms(x: SrcElement) -> None:
-    """One denominator d > 0 and integer pairs with gcd(d, every r, every s) == 1."""
+class RefInvariant(RefTermMap):
+    __slots__ = ()
+    _printer = "invariant_to_text"
+    _key = InvariantPoly._key
+
+
+class RefForm(RefTermMap):
+    __slots__ = ("max_form_degree",)
+    _printer = "form_to_text"
+    _key = FormPoly._key
+    _order = staticmethod(FormPoly._order)
+
+    def __init__(self, terms=None, max_form_degree=0):
+        self.max_form_degree = max_form_degree
+        super().__init__(terms)
+
+    def _new(self, terms: dict) -> "RefForm":
+        out = RefTermMap._new(self, terms)
+        out.max_form_degree = self.max_form_degree
+        return out
+
+
+class RefLocal(RefTermMap):
+    __slots__ = ()
+    _printer = "local_to_text"
+    _key = LocalElement._key
+    _order = staticmethod(LocalElement._order)
+
+    def __mul__(self, other: "RefLocal") -> "RefLocal":
+        return ref_local_star(self, other)
+
+
+CONTAINER_OF = {RefElement: SrcElement, RefInvariant: InvariantPoly, RefForm: FormPoly, RefLocal: LocalElement}
+
+
+# The re-keys and the local product as the package wrote them over ScalarPoly
+# maps; each error names the first bad key in term_map() order.
+
+
+def ref_to_element(f: RefInvariant) -> RefElement:
+    return RefElement({(p, q, 0): c for (p, q), c in f.term_map().items()})
+
+
+def ref_fold(e: RefElement) -> RefInvariant:
+    out = {}
+    for (p, q, _eps), c in e.term_map().items():
+        if (p + q) % 2 != 0:
+            raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
+        accumulate(out, (p, q), c)
+    return RefInvariant(out)
+
+
+def ref_fiber_fold(F: RefLocal) -> RefLocal:
+    out = {}
+    for (base, p, q, _eps), c in F.term_map().items():
+        accumulate(out, (base, p, q, 0), c)
+    return RefLocal(out)
+
+
+def ref_local_star(F: RefLocal, G: RefLocal) -> RefLocal:
+    out = {}
+    for (b1, p1, q1, e1), c1 in F.term_map().items():
+        for (b2, p2, q2, e2), c2 in G.term_map().items():
+            c = c1 * c2
+            fiber = mul(SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2))
+            for bkey, bw in index._base_moyal(b1, b2).items():
+                for (p, q, eps), fc in fiber.term_map().items():
+                    accumulate(out, (bkey, p, q, eps), c * bw * fc)
+    return RefLocal(out)
+
+
+def assert_lowest_terms(x) -> None:
+    """One denominator d > 0 and integer pairs with gcd(d, every r, every s) == 1;
+    zero has d == 1."""
     assert x._d > 0
     nums = []
     for cells in x._terms.values():
@@ -170,18 +319,23 @@ def assert_lowest_terms(x: SrcElement) -> None:
             assert r or s
             nums += [r, s]
     assert gcd(x._d, *nums) == 1
+    assert x._terms or x._d == 1
 
 
-def assert_agrees(got: SrcElement, want: RefElement) -> None:
-    assert type(got) is SrcElement
+def assert_agrees(got, want: RefTermMap) -> None:
+    """got, in integer storage, equals the reference want on values, the key
+    order of term_map() (outer and inner) and terms(), canonical text and JSON."""
+    assert type(got) is CONTAINER_OF[type(want)]
     assert_lowest_terms(got)
     got_map, want_map = got.term_map(), want.term_map()
     assert list(got_map) == list(want_map)
     for key, coeff in got_map.items():
         assert coeff == want_map[key]
         assert list(coeff.term_map()) == list(want_map[key].term_map())
+    assert [key for key, _c in got.terms()] == [key for key, _c in want.terms()]
     assert got.to_text() == want.to_text()
-    assert got.to_json() == want.to_json()
+    json_of = getattr(type(got), "to_json", cli._local_json)
+    assert json_of(got) == json_of(want)
 
 
 def check_against_reference(q, p):
@@ -276,6 +430,199 @@ class TestStorageAgainstReference:
             assert zero.is_zero() and zero._d == 1 and zero._terms == {}
             assert zero == SrcElement() and hash(zero) == hash(SrcElement())
         assert SrcElement.x()._d == 2 and (SrcElement.x() + SrcElement.x())._d == 1
+
+
+# -- storage of every term map --------------------------------------------------
+
+COEFFS = scalar_polys(min_h1=-2, max_h1=3, max_h2=3)
+KEYS = {
+    SrcElement: st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1)),
+    InvariantPoly: st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda k: (k[0], k[1] + sum(k) % 2)),
+    # unsorted, with zero exponents and degrees beyond the truncation at 4
+    FormPoly: st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 2)), max_size=2, unique_by=lambda t: t[0])
+    .map(tuple),
+    LocalElement: st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2, unique_by=lambda t: t[0]).map(tuple),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 1),
+    ),
+}
+REFERENCE_OF = {container: ref for ref, container in CONTAINER_OF.items()}
+
+
+def build(cls, terms: dict):
+    return cls(terms, 4) if cls in (FormPoly, RefForm) else cls(terms)
+
+
+@st.composite
+def term_map_pairs(draw, cls):
+    """Two maps key -> ScalarPoly, the second cancelling some terms or pairs of
+    the first, both in drawn order."""
+    keys = draw(st.lists(KEYS[cls], max_size=5, unique=True))
+    first = {key: draw(COEFFS) for key in keys}
+    second = {}
+    for key in keys:
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            second[key] = -first[key]
+        elif how == 1:
+            second[key] = draw(COEFFS) - first[key]
+    for key in draw(st.lists(KEYS[cls], max_size=3)):
+        second[key] = draw(COEFFS)
+    return first, dict(draw(st.permutations(list(second.items()))))
+
+
+def flip_eps(terms: dict) -> dict:
+    """The same map with the g exponent, the last entry of each key, flipped."""
+    return {(*key[:-1], 1 - key[-1]): c for key, c in terms.items()}
+
+
+class TestTermMapStorage:
+    """Every container's integer storage against the reference generic term map."""
+
+    @pytest.mark.parametrize("cls", list(KEYS), ids=lambda c: c.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_linear_structure(self, cls, data):
+        a_terms, b_terms = data.draw(term_map_pairs(cls))
+        c = data.draw(COEFFS)
+        ref = REFERENCE_OF[cls]
+        a, b = build(cls, a_terms), build(cls, b_terms)
+        ra, rb = build(ref, a_terms), build(ref, b_terms)
+        assert_agrees(a, ra)
+        assert_agrees(b, rb)
+        assert_agrees(a + b, ra + rb)
+        assert_agrees(a - b, ra - rb)
+        assert_agrees(-a, -ra)
+        assert_agrees(a.scale(c), ra.scale(c))
+        assert_agrees(a.subs_h2_zero(), ra.subs_h2_zero())
+        assert (a == b) == (ra == rb)
+        # equal values built along different paths: equal storage and hashes
+        for same in ((a + b) - b, build(cls, a.term_map()), -(-a), b + (a - b)):
+            assert same == a and hash(same) == hash(a)
+            assert same._d == a._d and same._terms == a._terms
+
+    @settings(max_examples=50, deadline=None)
+    @given(term_map_pairs(InvariantPoly), term_map_pairs(SrcElement))
+    def test_to_element_and_fold(self, inv, elem):
+        f = InvariantPoly(inv[0]) - InvariantPoly(inv[1])
+        rf = RefInvariant(inv[0]) - RefInvariant(inv[1])
+        assert_agrees(f.to_element(), ref_to_element(rf))
+        # the g-flipped partner cancels terms and pairs across the fold
+        e = SrcElement(elem[0]) + SrcElement(flip_eps(elem[1]))
+        re_ = RefElement(elem[0]) + RefElement(flip_eps(elem[1]))
+        try:
+            want = ref_fold(re_)
+        except ExtractionError as exc:
+            with pytest.raises(ExtractionError) as got:
+                spherical._fold(e)
+            assert str(got.value) == str(exc)
+        else:
+            assert_agrees(spherical._fold(e), want)
+        even = {key: c for key, c in elem[0].items() if (key[0] + key[1]) % 2 == 0}
+        assert_agrees(spherical._fold(SrcElement(even) - SrcElement(flip_eps(even))),
+                      ref_fold(RefElement(even) - RefElement(flip_eps(even))))
+
+    @settings(max_examples=50, deadline=None)
+    @given(term_map_pairs(LocalElement))
+    def test_fiber_fold(self, pair):
+        F = LocalElement(pair[0]) + LocalElement(flip_eps(pair[1]))
+        rF = RefLocal(pair[0]) + RefLocal(flip_eps(pair[1]))
+        assert_agrees(F, rF)
+        assert_agrees(index.fiber_fold(F), ref_fiber_fold(rF))
+
+    def test_rekeys_build_no_scalar_views(self, monkeypatch):
+        f = exprs.parse_invariant("z^2*zb^2 + 1/3*i*h1*z*zb - h2")
+        e = mul(parse_element("(z + zb)^2 + g"), parse_element("z*zb - 1/2*h1*g"))
+        F = LocalElement.base_var("p", 1) * LocalElement.from_fiber(e)
+
+        def no_view(*_args):
+            raise AssertionError("a ScalarPoly was built")
+
+        monkeypatch.setattr(scalars, "_view", no_view)
+        monkeypatch.setattr(ScalarPoly, "from_clean", staticmethod(no_view))
+        monkeypatch.setattr(ScalarPoly, "__init__", no_view)
+        assert not f.to_element().is_zero()
+        assert not spherical._fold(e).is_zero()
+        assert not index.fiber_fold(F).is_zero()
+        assert not LocalElement.from_fiber(e).is_zero()
+
+    def test_one_storage(self):
+        for cls in KEYS:
+            assert issubclass(cls, TermMap) and cls.__slots__ in ((), ("max_form_degree",))
+            assert not hasattr(cls, "_zero_coeff")
+        for name in ("__init__", "__add__", "__neg__", "scale", "subs_h2_zero", "__eq__", "__hash__",
+                     "terms", "term_map", "coefficient"):
+            assert name not in vars(SrcElement), name
+        assert not issubclass(ScalarPoly, TermMap)
+
+
+def ref_parsed(src: str, atom_of):
+    """The reference element of an expression, its atoms read off the package's."""
+    return exprs._eval_generic(exprs.parse(src), atom_of)
+
+
+def ref_element_atom(name, arg) -> RefElement:
+    return RefElement(exprs._element_atom(name, arg).term_map())
+
+
+def ref_local_atom(name, arg) -> RefLocal:
+    if name[0] in "pq":
+        return RefLocal(LocalElement.base_var(name[0], int(name[1:])).term_map())
+    return RefLocal(LocalElement.from_fiber(exprs._element_atom(name, arg)).term_map())
+
+
+def first_odd(keys) -> tuple[int, int] | None:
+    return next(((p, q) for p, q in keys if (p + q) % 2), None)
+
+
+def cli_stderr(argv: list[str]) -> tuple[int, str]:
+    """Exit code and standard error of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+COEFF_TEXT = st.sampled_from(["1", "-2", "1/3", "i", "(1-i)", "h1", "h2"])
+
+
+def power_sums(name: str):
+    """Sums of one to three scalar multiples of powers of one generator."""
+    term = st.builds(f"{{}}*{name}^{{}}".format, COEFF_TEXT, st.integers(0, 3))
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: "(" + " + ".join(ts) + ")")
+
+
+# z-sums times zb-sums are in normal order already, so no g appears and the
+# terms come in the order of the products and sums
+FIBER_PRODUCTS = st.tuples(power_sums("z"), power_sums("zb")).map("*".join)
+EXPRESSIONS = st.lists(FIBER_PRODUCTS, min_size=2, max_size=3).map(" - ".join)
+LOCAL_EXPRESSIONS = st.lists(
+    st.tuples(st.sampled_from(["p1", "q1", "p1*q1", "q1^2", "1"]), FIBER_PRODUCTS).map("*".join), min_size=2, max_size=3
+).map(" + ".join)
+
+
+class TestParityErrorsNameTheSameTerm:
+    """Inputs with two or more non-invariant terms: star, trace and localtrace
+    name the first one in the reference term order, as before integer storage."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(EXPRESSIONS, st.sampled_from(["star", "trace"]))
+    def test_star_and_trace(self, src, command):
+        keys = ref_parsed(src, ref_element_atom).term_map()
+        assume(sum((p + q) % 2 for p, q, _eps in keys) >= 2)
+        p, q = first_odd((p, q) for p, q, _eps in keys)
+        argv = [command, src, "1"] if command == "star" else [command, src]
+        assert cli_stderr(argv) == (2, f"error: monomial z^{p} zb^{q} is not invariant\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(LOCAL_EXPRESSIONS)
+    def test_localtrace(self, src):
+        folded = ref_fiber_fold(ref_parsed(src, ref_local_atom)).term_map()
+        assume(sum((p + q) % 2 for _base, p, q, _eps in folded) >= 2)
+        p, q = first_odd((p, q) for _base, p, q, _eps in folded)
+        assert cli_stderr(["localtrace", "--n", "2", src]) == (2, f"error: fiber part z^{p} zb^{q} is not invariant\n")
 
 
 class TestKernelAgainstReference:

@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from dunklweyl import cli, hochschild, spherical, suites
+from dunklweyl import cli, exprs, hochschild, spherical, suites
+from dunklweyl.algebra import SrcElement
 from dunklweyl.cli import main
+from dunklweyl.index import FormPoly
+from dunklweyl.scalars import ScalarPoly
+from dunklweyl.spherical import InvariantPoly
 from dunklweyl.suites import RunConfig, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +83,37 @@ class TestCommands:
         assert code == 0
         assert "all certified" in out
         assert len([l for l in out.splitlines() if l.startswith("ok")]) == 9
+
+
+# One call per subcommand that prints a value through cli._emit_value.
+EMITTING_ARGVS = [
+    ["nf", "zb^2*g*z^3"],
+    ["mul", "z^2", "zb"],
+    ["comm", "z^2", "zb"],
+    ["star", "z*zb", "z^2*zb^2"],
+    ["trace", "z^2*zb^2"],
+    ["index", "--n", "2", "--rt", "R", "--theta", "T", "--rn", "N"],
+    ["localtrace", "--n", "2", "p1*q1*z*zb"],
+]
+TEXT_WRITERS = [(exprs, name) for name in
+                ("element_to_text", "invariant_to_text", "scalar_to_text", "form_to_text", "local_to_text")]
+JSON_WRITERS = [(cls, "to_json") for cls in (SrcElement, InvariantPoly, ScalarPoly, FormPoly)] + [(cli, "_local_json")]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", EMITTING_ARGVS, ids=[a[0] for a in EMITTING_ARGVS])
+def test_only_the_requested_format_is_built(capsys, monkeypatch, argv, fmt):
+    """Each value is written once, in the requested format: the writers of the
+    other format are never called."""
+    code, want, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and want
+
+    def unused(*_args):
+        raise AssertionError("the other format was built")
+
+    for owner, name in JSON_WRITERS if fmt == "text" else TEXT_WRITERS:
+        monkeypatch.setattr(owner, name, unused)
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, want, "")
 
 
 class TestErrors:

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dunklweyl import algebra
+from dunklweyl import algebra, exprs
 from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.cli import main
 from dunklweyl.exprs import (
@@ -231,3 +233,61 @@ class TestRoundTrip:
             a, b = random_element(rng, 4), random_element(rng, 4)
             e = commutator(a, b)
             assert parse_element(element_to_text(e)) == e
+
+
+# -- reference coefficient printer ---------------------------------------------
+# The printer parts and JSON entries as the package wrote them from the Fraction
+# properties re and im; both now read the integer triple through
+# GaussianRational.parts().
+
+
+def ref_rat_str(f: Fraction) -> str:
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def ref_coeff_parts(c: GaussianRational) -> tuple[bool, list[str]]:
+    re, im = c.re, c.im
+    if im == 0:
+        neg = re < 0
+        mag = abs(re)
+        return neg, [] if mag == 1 else [ref_rat_str(mag)]
+    if re == 0:
+        neg = im < 0
+        mag = abs(im)
+        return neg, ["i"] if mag == 1 else [ref_rat_str(mag), "i"]
+    if im > 0:
+        im_part = "+i" if im == 1 else f"+{ref_rat_str(im)}*i"
+    else:
+        im_part = "-i" if im == -1 else f"-{ref_rat_str(abs(im))}*i"
+    return False, [f"({ref_rat_str(re)}{im_part})"]
+
+
+def ref_json_entry(c: GaussianRational) -> list[int]:
+    re, im = c.re, c.im
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
+
+
+# numerators and denominators up to 2^70: small, unit-sized and beyond 64 bits
+NUMERATORS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12), st.integers(-(2**70), 2**70))
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**70))
+GAUSSIANS = st.builds(
+    lambda a, b, c, d: GaussianRational.of(Fraction(a, b), Fraction(c, d)),
+    NUMERATORS, DENOMINATORS, NUMERATORS, DENOMINATORS,
+)
+
+
+class TestCoefficientPrinter:
+    @example(GaussianRational.of(0))
+    @example(GaussianRational.of(1))
+    @example(GaussianRational.of(-1))
+    @example(GaussianRational.of(0, 1))
+    @example(GaussianRational.of(0, -1))
+    @example(GaussianRational.of(Fraction(-3, 2**65), Fraction(2**66 + 1, 6)))
+    @settings(max_examples=300, deadline=None)
+    @given(GAUSSIANS)
+    def test_parts_agree_with_reference(self, c):
+        assert exprs._coeff_parts(c) == ref_coeff_parts(c)
+        assert ScalarPoly.monomial(c, -1, 2).to_json() == ([[-1, 2, *ref_json_entry(c)]] if not c.is_zero() else [])
+        assert list(c.parts()) == ref_json_entry(c)

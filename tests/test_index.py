@@ -68,7 +68,7 @@ class TestAHat:
 
 class TestFormCalculus:
     def test_ch_exp_zero(self):
-        assert ch_exp(FormPoly.zero(4), ScalarPoly.one()) == FormPoly.one(4)
+        assert ch_exp(FormPoly({}, 4), ScalarPoly.one()) == FormPoly.one(4)
 
     def test_ch_exp_theta_over_h1(self):
         theta = FormPoly.symbol("T", 4)
@@ -249,14 +249,15 @@ class TestLocalModel:
         p1 = LocalElement.base_var("p", 1)
         q1 = LocalElement.base_var("q", 1)
         got = local_star(p1, q1) - local_star(q1, p1)
-        assert got == LocalElement.scalar(ScalarPoly.h1())
+        assert got == LocalElement.base_monomial({}, ScalarPoly.h1())
 
     def test_unit(self):
-        F = LocalElement.product(
-            LocalElement.base_var("p", 1, 2), InvariantPoly.zzbar().to_element()
+        F = local_star(
+            LocalElement.base_var("p", 1, 2), LocalElement.from_fiber(InvariantPoly.zzbar().to_element())
         )
-        assert local_star(F, LocalElement.one()) == F
-        assert local_star(LocalElement.one(), F) == F
+        one = LocalElement.base_monomial({})
+        assert local_star(F, one) == F
+        assert local_star(one, F) == F
 
     def test_base_only_matches_reference_weyl(self):
         # independent check of the base product on a hand-expanded case:
@@ -267,7 +268,7 @@ class TestLocalModel:
         # (pq)*(pq) = p^2q^2 + (h1/2)(pq - qp cross terms) ... = p^2 q^2 - h1^2/4
         want = (
             LocalElement.base_monomial({0: 2, 1: 2})
-            + LocalElement.scalar(ScalarPoly.h1(2).scale(GaussianRational.of(Fraction(-1, 4))))
+            + LocalElement.base_monomial({}, ScalarPoly.h1(2).scale(GaussianRational.of(Fraction(-1, 4))))
         )
         assert got == want
 
@@ -286,7 +287,8 @@ class TestLocalModel:
             assert InvariantPoly.from_element(folded) == star(f, g)
 
     def test_trace_density_of_one(self):
-        assert local_trace_density(LocalElement.one()) == LocalElement.one()
+        one = LocalElement.base_monomial({})
+        assert local_trace_density(one) == one
 
     def test_trace_density_factorizes(self):
         rng = random.Random(5)
@@ -298,7 +300,7 @@ class TestLocalModel:
                 }
                 base = LocalElement.base_monomial(base_exps)
                 g = monos[rng.randrange(len(monos))]
-                F = LocalElement.product(base, g.to_element())
+                F = local_star(base, LocalElement.from_fiber(g.to_element()))
                 assert local_trace_density(F) == base.scale(phi(g))
 
     def test_trace_density_kills_fiber_commutators(self):

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from dunklweyl.algebra import SrcElement, commutator, idempotent, mul
+from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.scalars import GaussianRational, ScalarPoly
 from dunklweyl.spherical import (
     InvariantPoly,
     ParityError,
-    embed,
     euler_derivation,
     invariant_monomials,
     moyal_star,
     star,
     star_commutator,
 )
+from tests.conftest import embed, idempotent
 
 M = InvariantPoly.monomial
 

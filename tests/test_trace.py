@@ -12,10 +12,9 @@ from dunklweyl.trace import (
     class_scalar,
     phi,
     recursion_scalar,
-    star_power,
     trace_defect,
 )
-from tests.conftest import h1_range
+from tests.conftest import h1_range, star_power
 
 M = InvariantPoly.monomial
 
