@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
     from .spherical import InvariantPoly
 
 EXP_LIMIT = 10**6
+NESTING_LIMIT = 100  # deepest parentheses read: deeper is a ParseError, not a RecursionError
 
 
 class ParseError(ValueError):
@@ -134,6 +135,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _lex(src)
         self.idx = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -205,8 +207,12 @@ class _Parser:
             self.take()
             return Atom(tok.text)
         if tok.kind == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(tok.pos, (f"at most {NESTING_LIMIT} nested parentheses",), "'('")
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.expect(")", "')'")
             return node
         raise ParseError(

@@ -88,7 +88,11 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        return Certificate.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON: nested too deeply") from None
+        return Certificate.from_json_dict(data)
 
 
 def reduce_certificate(p: int, q: int) -> Certificate:
@@ -121,7 +125,7 @@ def reduce_certificate(p: int, q: int) -> Certificate:
 
 def check_certificate(cert: Certificate) -> bool:
     """Replay the witnesses through the star engine; exact equality only."""
-    acc = InvariantPoly.zero()
+    acc = InvariantPoly()
     for w in cert.witnesses:
         acc = acc + star_commutator(w.left, w.right).scale(w.coeff)
     lhs = cert.target - InvariantPoly.one().scale(cert.scalar)

@@ -23,33 +23,25 @@ from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import (
-    GaussianRational,
-    ScalarPoly,
-    TermMap,
-    TruncSeries,
-    _summed,
-    accumulate,
-    power_sum,
-    series_exp,
-    series_inverse,
-)
+from .scalars import GaussianRational, ScalarPoly, TermMap, TruncSeries, accumulate, power_sum, series_exp
+from .scalars import series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
 from .trace import ch_phi, class_scalar
 
 SymKey = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 
 
-def _merge_exponents(k1: tuple, k2: tuple) -> tuple:
-    """Product of two monomials stored as sorted ((variable, exponent), ...)."""
+def _sym_degree(key: SymKey) -> int:
+    return 2 * sum(e for _n, e in key)
+
+
+def _product_key(k1: SymKey, k2: SymKey, deg: int) -> SymKey | None:
+    """Product of two curvature monomials, or None when it is above degree deg."""
     acc: dict = {}
     for v, e in k1 + k2:
         acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def _sym_degree(key: SymKey) -> int:
-    return 2 * sum(e for _n, e in key)
+    key = tuple(sorted(acc.items()))
+    return None if _sym_degree(key) > deg else key
 
 
 class FormPoly(TermMap):
@@ -58,11 +50,7 @@ class FormPoly(TermMap):
     __slots__ = ("max_form_degree",)
     _printer = "form_to_text"
 
-    def __init__(
-        self,
-        terms: Mapping[SymKey, ScalarPoly] | None = None,
-        max_form_degree: int = 0,
-    ):
+    def __init__(self, terms: Mapping[SymKey, ScalarPoly] | None = None, max_form_degree: int = 0):
         if max_form_degree < 0 or max_form_degree % 2 != 0:
             raise ValueError("max_form_degree must be a non-negative even integer")
         self.max_form_degree = max_form_degree
@@ -96,10 +84,7 @@ class FormPoly(TermMap):
     # -- queries -------------------------------------------------------
 
     def degree_component(self, d: int) -> "FormPoly":
-        return FormPoly(
-            {k: c for k, c in self.term_map().items() if _sym_degree(k) == d},
-            self.max_form_degree,
-        )
+        return self.rekey(lambda key: key if _sym_degree(key) == d else None)
 
     def degree_zero_part(self) -> ScalarPoly:
         return self.coefficient(())
@@ -111,18 +96,13 @@ class FormPoly(TermMap):
 
     def __add__(self, other: "FormPoly") -> "FormPoly":
         # a sum is known only up to the smaller truncation degree
-        return FormPoly(TermMap.__add__(self, other).term_map(), self._out_degree(other))
+        deg = self._out_degree(other)
+        total = TermMap.__add__(self, other).rekey(lambda key: None if _sym_degree(key) > deg else key)
+        return _truncated(total, deg)
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
         deg = self._out_degree(other)
-        out: dict[SymKey, ScalarPoly] = {}
-        right = other.term_map().items()
-        for k1, c1 in self.term_map().items():
-            for k2, c2 in right:
-                key = _merge_exponents(k1, k2)
-                if _sym_degree(key) <= deg:
-                    accumulate(out, key, c1 * c2)
-        return FormPoly(out, deg)
+        return _truncated(self.product(other, lambda k1, k2: _product_key(k1, k2, deg)), deg)
 
     def __repr__(self) -> str:
         return f"FormPoly({self.to_text()}, max_form_degree={self.max_form_degree})"
@@ -132,6 +112,12 @@ class FormPoly(TermMap):
             {"syms": {n: e for n, e in key}, "coeff": c.to_json()}
             for key, c in self.terms()
         ]
+
+
+def _truncated(f: FormPoly, deg: int) -> FormPoly:
+    """f, just built with no key above degree deg, marked as truncated at deg."""
+    f.max_form_degree = deg
+    return f
 
 
 # -- generating functions ----------------------------------------------
@@ -259,7 +245,7 @@ class LocalElement(TermMap):
 
     @staticmethod
     def from_fiber(e: SrcElement) -> "LocalElement":
-        return _summed(LocalElement, ((((), *key), cells) for key, cells in e._terms.items()), e._d)
+        return e.rekey(lambda key: ((), *key), LocalElement)
 
     # -- structure -----------------------------------------------------
 
@@ -304,8 +290,7 @@ def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
 
 def fiber_fold(F: LocalElement) -> LocalElement:
     """Fold the fiber reflection generator onto 1 (corner identification)."""
-    pairs = (((base, p, q, 0), cells) for (base, p, q, _eps), cells in F._terms.items())
-    return _summed(LocalElement, pairs, F._d)
+    return F.rekey(lambda key: (*key[:3], 0))
 
 
 def local_trace_density(F: LocalElement) -> LocalElement:

@@ -417,14 +417,6 @@ def _stored(cls, terms: dict, d: int):
     return out
 
 
-def _summed(cls, pairs: Iterable, d: int):
-    """The cls sum over (key, cells) pairs, all over d, each through _merge."""
-    out: dict = {}
-    for key, cells in pairs:
-        _merge(out, key, cells)
-    return _stored(cls, out, d)
-
-
 class TermMap:
     """Sparse map from monomial keys to nonzero scalars in Q(i)[h1^+-1, h2].
 
@@ -434,8 +426,14 @@ class TermMap:
     gcd of d with every r and s is 1, and zero has d == 1), so equal values
     have equal storage and hashes.  A subclass checks and normalises keys
     (`_key`, whose None drops a term) and chooses the canonical term order
-    (`_order`) and the printer in the exprs module.  terms(), term_map() and
-    coefficient() build ScalarPoly views; instances are treated as immutable.
+    (`_order`) and the printer in the exprs module.
+
+    Containers reach the storage through two operations besides the linear
+    structure: rekey moves every term to a new key, and product extends a
+    product of keys bilinearly (scale is the product with a one-term map).
+    Both merge through _merge, so they keep the term order of a dict of
+    ScalarPoly sums.  terms(), term_map() and coefficient() build ScalarPoly
+    views; instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
@@ -496,14 +494,44 @@ class TermMap:
         return self._new(neg, self._d)
 
     def scale(self, c: ScalarPoly):
-        """Every coefficient times the scalar c."""
+        """Every coefficient times the scalar c: the product with c as a one-term map."""
         if c.is_zero():
             return self._new({}, 1)
-        return self._new(*_lift({key: v * c for key, v in self.term_map().items()}))
+        return self.product(_stored(TermMap, *_lift({(): c})), lambda key, _unit: key)
 
     def subs_h2_zero(self):
         kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}
         return self._new({key: cells for key, cells in kept.items() if cells}, self._d)
+
+    # -- re-keys and products --------------------------------------------
+
+    def rekey(self, fn, cls=None):
+        """The sum of coeff * fn(key) over the terms, merged in storage order,
+        as a cls (default: built as self).  A None key drops its term, and an
+        error raised by fn propagates unchanged."""
+        out: dict = {}
+        for key, cells in self._terms.items():
+            key = fn(key)
+            if key is not None:
+                _merge(out, key, cells)
+        return self._new(out, self._d) if cls is None else _stored(cls, out, self._d)
+
+    def product(self, other, key_of):
+        """The bilinear product whose product of keys k1, k2 is key_of(k1, k2).
+
+        Each pair of terms makes one ScalarPoly product of their Gaussian-integer
+        numerators, merged under its key over self._d * other._d; a None key
+        drops the pair before its product is made.  Built as self.
+        """
+        right = [(key, _view(cells, 1)) for key, cells in other._terms.items()]
+        out: dict = {}
+        for k1, cells in self._terms.items():
+            n1 = _view(cells, 1)
+            for k2, n2 in right:
+                key = key_of(k1, k2)
+                if key is not None:
+                    _merge(out, key, {hk: (c._r, c._s) for hk, c in (n1 * n2)._terms.items()})
+        return self._new(out, self._d * other._d)
 
     # -- protocol ------------------------------------------------------
 
@@ -565,26 +593,17 @@ class TruncSeries:
         inner = ", ".join(c.to_text() for c in self.coeffs)
         return f"TruncSeries([{inner}], order={self.order})"
 
-    def _zip_order(self, other: "TruncSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._zip_order(other)
-        return TruncSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
+        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], min(self.order, other.order))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._zip_order(other)
-        return TruncSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n
-        )
+        return TruncSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], min(self.order, other.order))
 
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        n = self._zip_order(other)
+        n = min(self.order, other.order)
         out = [ScalarPoly.zero() for _ in range(n + 1)]
         for j, cj in enumerate(self.coeffs[: n + 1]):
             if cj.is_zero():

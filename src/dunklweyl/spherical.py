@@ -18,8 +18,7 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap
-from .scalars import _merge, _stored, _summed, accumulate
+from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate
 
 PairKey = tuple[int, int]
 
@@ -30,7 +29,8 @@ class InvariantPoly(TermMap):
     __slots__ = ()
     _printer = "invariant_to_text"
 
-    def _key(self, key: PairKey) -> PairKey:
+    @staticmethod
+    def _key(key: PairKey) -> PairKey:
         p, q = key
         if p < 0 or q < 0:
             raise ValueError(f"bad exponents {(p, q)}")
@@ -39,10 +39,6 @@ class InvariantPoly(TermMap):
         return key
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "InvariantPoly":
-        return InvariantPoly()
 
     @staticmethod
     def one() -> "InvariantPoly":
@@ -61,7 +57,7 @@ class InvariantPoly(TermMap):
         """Read an invariant polynomial off a reflection-free element."""
         if not e.gamma_free():
             raise ParityError("element carries the reflection generator")
-        return InvariantPoly({(p, q): c for (p, q, _eps), c in e.term_map().items()})
+        return e.rekey(lambda key: InvariantPoly._key(key[:2]), InvariantPoly)
 
     # -- queries -------------------------------------------------------
 
@@ -72,12 +68,7 @@ class InvariantPoly(TermMap):
 
     def poly_mul(self, other: "InvariantPoly") -> "InvariantPoly":
         """Plain commutative polynomial product (no star corrections)."""
-        out: dict[PairKey, ScalarPoly] = {}
-        right = other.term_map().items()
-        for (p1, q1), c1 in self.term_map().items():
-            for (p2, q2), c2 in right:
-                accumulate(out, (p1 + p2, q1 + q2), c1 * c2)
-        return InvariantPoly(out)
+        return self.product(other, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
 
     def poly_pow(self, n: int) -> "InvariantPoly":
         out = InvariantPoly.one()
@@ -87,21 +78,22 @@ class InvariantPoly(TermMap):
 
     def to_element(self) -> SrcElement:
         """The normal-form word with the same exponents (reflection-free)."""
-        pairs = (((p, q, 0), cells) for (p, q), cells in self._terms.items())
-        return _summed(SrcElement, pairs, self._d)
+        return self.rekey(lambda key: (*key, 0), SrcElement)
 
     def to_json(self) -> list:
         return [{"z": p, "zb": q, "coeff": c.to_json()} for (p, q), c in self.terms()]
 
 
+def _fold_key(key: algebra.TermKey) -> PairKey:
+    p, q, _eps = key
+    if (p + q) % 2 != 0:
+        raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
+    return (p, q)
+
+
 def _fold(e: SrcElement) -> InvariantPoly:
     """Fold g onto 1 (g*e = e) and read off the invariant polynomial."""
-    out: dict = {}
-    for (p, q, _eps), cells in e._terms.items():
-        if (p + q) % 2 != 0:
-            raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
-        _merge(out, (p, q), cells)
-    return _stored(InvariantPoly, out, e._d)
+    return e.rekey(_fold_key, InvariantPoly)
 
 
 def star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import random
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from dunklweyl import algebra, cli, exprs, index, scalars, spherical
 from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.exprs import parse_element
 from dunklweyl.index import FormPoly, LocalElement
-from dunklweyl.scalars import ExtractionError, GaussianRational, ScalarPoly, TermMap, _reduced, accumulate
+from dunklweyl.scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, _reduced, accumulate
 from dunklweyl.spherical import InvariantPoly
 from tests.conftest import idempotent, scalar_polys
 
@@ -240,7 +242,7 @@ def ref_kernel_mul(a: RefElement, b: RefElement) -> RefElement:
 class RefInvariant(RefTermMap):
     __slots__ = ()
     _printer = "invariant_to_text"
-    _key = InvariantPoly._key
+    _key = staticmethod(InvariantPoly._key)
 
 
 class RefForm(RefTermMap):
@@ -306,6 +308,52 @@ def ref_local_star(F: RefLocal, G: RefLocal) -> RefLocal:
                 for (p, q, eps), fc in fiber.term_map().items():
                     accumulate(out, (bkey, p, q, eps), c * bw * fc)
     return RefLocal(out)
+
+
+# The products, the FormPoly truncations and from_element as the package wrote
+# them before TermMap.rekey and TermMap.product: ScalarPoly coefficients read
+# through term_map() and lifted back through the constructor.  The reference
+# scale is RefTermMap.scale, the same dict of ScalarPoly products.
+
+
+def ref_poly_mul(f: RefInvariant, g: RefInvariant) -> RefInvariant:
+    out = {}
+    for (p1, q1), c1 in f.term_map().items():
+        for (p2, q2), c2 in g.term_map().items():
+            accumulate(out, (p1 + p2, q1 + q2), c1 * c2)
+    return RefInvariant(out)
+
+
+def ref_merge_exponents(k1: tuple, k2: tuple) -> tuple:
+    acc: dict = {}
+    for v, e in k1 + k2:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def ref_form_mul(a: RefForm, b: RefForm) -> RefForm:
+    deg = min(a.max_form_degree, b.max_form_degree)
+    out = {}
+    for k1, c1 in a.term_map().items():
+        for k2, c2 in b.term_map().items():
+            key = ref_merge_exponents(k1, k2)
+            if index._sym_degree(key) <= deg:
+                accumulate(out, key, c1 * c2)
+    return RefForm(out, deg)
+
+
+def ref_form_add(a: RefForm, b: RefForm) -> RefForm:
+    return RefForm((a + b).term_map(), min(a.max_form_degree, b.max_form_degree))
+
+
+def ref_degree_component(a: RefForm, d: int) -> RefForm:
+    return RefForm({k: c for k, c in a.term_map().items() if index._sym_degree(k) == d}, a.max_form_degree)
+
+
+def ref_from_element(e: RefElement) -> RefInvariant:
+    if not all(eps == 0 for _p, _q, eps in e.term_map()):
+        raise ParityError("element carries the reflection generator")
+    return RefInvariant({(p, q): c for (p, q, _eps), c in e.term_map().items()})
 
 
 def assert_lowest_terms(x) -> None:
@@ -540,6 +588,12 @@ class TestTermMapStorage:
         def no_view(*_args):
             raise AssertionError("a ScalarPoly was built")
 
+        g_free = f.to_element()
+        top = FormPoly.symbol("A", 4) * FormPoly.symbol("B", 4)
+        wide = top + FormPoly.symbol("C", 4)
+        narrow = FormPoly.symbol("A", 2)
+        truncated = FormPoly.symbol("C", 2) + narrow
+
         monkeypatch.setattr(scalars, "_view", no_view)
         monkeypatch.setattr(ScalarPoly, "from_clean", staticmethod(no_view))
         monkeypatch.setattr(ScalarPoly, "__init__", no_view)
@@ -547,6 +601,35 @@ class TestTermMapStorage:
         assert not spherical._fold(e).is_zero()
         assert not index.fiber_fold(F).is_zero()
         assert not LocalElement.from_fiber(e).is_zero()
+        assert InvariantPoly.from_element(g_free) == f
+        assert wide.degree_component(4) == top
+        total = wide + narrow  # the A*B term lies above the smaller degree 2
+        assert total == truncated and total.max_form_degree == 2
+
+    def test_only_scalars_and_algebra_know_the_storage(self):
+        # a module outside scalars and the kernel of algebra.mul reaches the
+        # integer storage only through TermMap's operations
+        hidden = {"_merge", "_stored", "_summed", "_lift", "_view", "_d"}
+
+        def storage_names(source: str) -> set[str]:
+            names = set()
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Name) and node.id in hidden - {"_d"}:
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr in hidden:
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias) and node.name in hidden:
+                    names.add(node.name)
+            return names
+
+        assert storage_names("from .scalars import _merge\nx = e._d + scalars._view(c, 1)") == {"_merge", "_d", "_view"}
+        package = Path(scalars.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert {"spherical.py", "index.py", "cli.py"} <= {path.name for path in modules}
+        for path in modules:
+            if path.name not in ("scalars.py", "algebra.py"):
+                assert storage_names(path.read_text()) == set(), path.name
+        assert not hasattr(scalars, "_summed")
 
     def test_one_storage(self):
         for cls in KEYS:
@@ -556,6 +639,87 @@ class TestTermMapStorage:
                      "terms", "term_map", "coefficient"):
             assert name not in vars(SrcElement), name
         assert not issubclass(ScalarPoly, TermMap)
+
+
+FORM_DEGREES = st.sampled_from([0, 2, 4, 6])
+# (p, q) with p + q odd: monomials that are not invariant
+ODD_PAIRS = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda k: (k[0], k[1] + 1 - sum(k) % 2))
+
+
+class TestRekeyAndProductAgainstReference:
+    """The ports onto TermMap.rekey and TermMap.product against the view-based
+    code they replace, on values, term order, text and JSON."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(term_map_pairs(InvariantPoly))
+    def test_poly_mul(self, pair):
+        f, g = InvariantPoly(pair[0]), InvariantPoly(pair[1])
+        rf, rg = RefInvariant(pair[0]), RefInvariant(pair[1])
+        assert_agrees(f.poly_mul(g), ref_poly_mul(rf, rg))
+        # (f + g)(f - g): the cross terms cancel key by key
+        assert_agrees((f + g).poly_mul(f - g), ref_poly_mul(rf + rg, rf - rg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(term_map_pairs(FormPoly), FORM_DEGREES, FORM_DEGREES, FORM_DEGREES, COEFFS)
+    def test_form_operations(self, pair, deg_a, deg_b, d, c):
+        # operands truncated at different degrees
+        a, b = FormPoly(pair[0], deg_a), FormPoly(pair[1], deg_b)
+        ra, rb = RefForm(pair[0], deg_a), RefForm(pair[1], deg_b)
+        for got, want in (
+            (a + b, ref_form_add(ra, rb)),
+            (a - b, ref_form_add(ra, -rb)),
+            (a * b, ref_form_mul(ra, rb)),
+            ((a + b) * (a - b), ref_form_mul(ref_form_add(ra, rb), ref_form_add(ra, -rb))),
+            (a.degree_component(d), ref_degree_component(ra, d)),
+            ((a * b).degree_component(d), ref_degree_component(ref_form_mul(ra, rb), d)),
+            (a.scale(c), ra.scale(c)),
+        ):
+            assert_agrees(got, want)
+            assert got.max_form_degree == want.max_form_degree
+
+    @pytest.mark.parametrize("cls", list(KEYS), ids=lambda c: c.__name__)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_scale(self, cls, data):
+        terms = data.draw(term_map_pairs(cls))[0]
+        c = data.draw(COEFFS)
+        a, ra = build(cls, terms), build(REFERENCE_OF[cls], terms)
+        assert_agrees(a.scale(c), ra.scale(c))
+        assert_agrees(a.scale(-c).scale(c), ra.scale(-c).scale(c))
+        zero = a.scale(ScalarPoly.zero())
+        assert_agrees(zero, ra.scale(ScalarPoly.zero()))
+        assert zero._d == 1 and zero._terms == {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(term_map_pairs(SrcElement), st.booleans())
+    def test_from_element(self, pair, with_g):
+        first, second = ({(p, q, 0): c for (p, q, _eps), c in terms.items()} for terms in pair)
+        if with_g:
+            second[(0, 0, 1)] = ScalarPoly.one()
+        e = SrcElement(first) + SrcElement(second)
+        re_ = RefElement(first) + RefElement(second)
+        try:
+            want = ref_from_element(re_)
+        except ParityError as exc:
+            with pytest.raises(ParityError) as got:
+                InvariantPoly.from_element(e)
+            assert str(got.value) == str(exc)
+        else:
+            assert_agrees(InvariantPoly.from_element(e), want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_from_element_names_the_first_odd_term(self, data):
+        odd = data.draw(st.lists(ODD_PAIRS, min_size=2, max_size=3, unique=True))
+        even = data.draw(st.lists(KEYS[InvariantPoly], max_size=3, unique=True))
+        keys = data.draw(st.permutations(odd + even))
+        terms = {(p, q, 0): data.draw(COEFFS.filter(lambda c: not c.is_zero())) for p, q in keys}
+        with pytest.raises(ParityError) as want:
+            ref_from_element(RefElement(terms))
+        with pytest.raises(ParityError) as got:
+            InvariantPoly.from_element(SrcElement(terms))
+        p, q = next(key for key in keys if sum(key) % 2)
+        assert str(got.value) == str(want.value) == f"monomial z^{p} zb^{q} is not invariant"
 
 
 def ref_parsed(src: str, atom_of):

@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from dunklweyl import cli, exprs, hochschild, spherical, suites
 from dunklweyl.algebra import SrcElement
 from dunklweyl.cli import main
 from dunklweyl.index import FormPoly
-from dunklweyl.scalars import ScalarPoly
+from dunklweyl.scalars import ExtractionError, NonInvertibleError, ParityError, ScalarPoly, SeriesDomainError
 from dunklweyl.spherical import InvariantPoly
 from dunklweyl.suites import RunConfig, run_suite
 
@@ -208,6 +209,21 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "error: non-invariant residue z^1 zb^0\n"
 
+    @pytest.mark.parametrize(
+        "exc",
+        [exprs.ParseError(3, ("'('",), "'x'"), exprs.EvalError("bad"), ParityError("odd"),
+         NonInvertibleError("h2"), SeriesDomainError("log"), ExtractionError("residue"), ValueError("value")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_engine_errors_exit_2(self, capsys, monkeypatch, exc):
+        # every error the engine raises on bad input is a ValueError, and the
+        # internal ExtractionError is reported the same way
+        def broken(_src):
+            raise exc
+
+        monkeypatch.setattr(exprs, "parse_element", broken)
+        assert run_cli(capsys, "nf", "z") == (2, "", f"error: {exc}\n")
+
     @pytest.mark.parametrize("with_expr", [False, True], ids=["neither", "both"])
     def test_certify_needs_expression_or_check(self, capsys, tmp_path, with_expr):
         # exactly one of an expression and --check FILE; the file is a valid
@@ -217,6 +233,62 @@ class TestErrors:
         argv = ["certify", "z^2*zb^2", "--check", str(cert_file)] if with_expr else ["certify"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+DEEP = "(" * 250 + "z*zb" + ")" * 250
+NESTING_ERROR = (
+    f"error: syntax error at position {exprs.NESTING_LIMIT}: expected at most "
+    f"{exprs.NESTING_LIMIT} nested parentheses, got '('\n"
+)
+
+
+class TestNesting:
+    """Input nested deeper than the parser reads is a usage error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nf", DEEP], ["mul", "z", DEEP], ["star", DEEP, "z*zb"], ["trace", DEEP], ["certify", DEEP],
+         ["localtrace", "--n", "2", DEEP]],
+        ids=lambda argv: argv[0],
+    )
+    def test_deep_expression(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (2, "", NESTING_ERROR)
+
+    def test_deep_expression_in_a_fresh_process(self):
+        proc = subprocess.run([sys.executable, "-m", "dunklweyl.cli", "nf", DEEP], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", NESTING_ERROR)
+
+    @pytest.mark.parametrize("field", ["target", "scalar", "left"])
+    def test_deep_string_in_a_certificate(self, capsys, tmp_path, field):
+        data = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+        if field == "left":
+            data["witnesses"][0]["left"] = DEEP
+        else:
+            data[field] = DEEP
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data))
+        assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", NESTING_ERROR)
+
+    def test_deep_certificate_json(self, capsys, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text("[" * 100_000)
+        want = "error: certificate JSON: nested too deeply\n"
+        assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", want)
+        with pytest.raises(ValueError, match="^certificate JSON: nested too deeply$"):
+            hochschild.Certificate.from_json("[" * 100_000 + "]" * 100_000)
+
+    def test_recorded_requests_nest_far_below_the_limit(self):
+        # the refusal changes no output the benchmark digests pin
+        digests = json.loads((ROOT / "bench" / "digests.json").read_text())
+        depths = set()
+        for key in digests:
+            for arg in shlex.split(key):
+                depth = deepest = 0
+                for ch in arg:
+                    depth += (ch == "(") - (ch == ")")
+                    deepest = max(deepest, depth)
+                depths.add(deepest)
+        assert max(depths) == 1 < exprs.NESTING_LIMIT
 
 
 class TestVerify:

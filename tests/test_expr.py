@@ -94,6 +94,23 @@ class TestParse:
             parse("z^99999999")
         assert "overflow" in str(err.value)
 
+    def test_nesting_limit(self):
+        limit = exprs.NESTING_LIMIT
+        # at the limit every layer parses and evaluates: sums, products, powers
+        src = "z"
+        for _ in range(limit):
+            src = f"(2*{src} - zb)^1"
+        assert parse_element(src) == SrcElement.z().scale(ScalarPoly.from_rational(2**limit)) - SrcElement.zb().scale(
+            ScalarPoly.from_rational(2**limit - 1)
+        )
+        for depth in (limit + 1, 250, 100_000):
+            with pytest.raises(ParseError) as err:
+                parse("(" * depth + "z" + ")" * depth)
+            assert err.value.pos == limit
+            assert str(err.value) == (
+                f"syntax error at position {limit}: expected at most {limit} nested parentheses, got '('"
+            )
+
     def test_mandatory_star(self):
         with pytest.raises(ParseError):
             parse("2 z")
