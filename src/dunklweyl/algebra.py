@@ -153,10 +153,9 @@ def _units(d: int, *keys: TermKey) -> SrcElement:
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:
     """Exact product in normal form: one ScalarPoly product per term pair, of
     the terms' Gaussian-integer numerators, spread over the pair's _reorder
-    table into {(p, q, eps): {(h1, h2): [r, s, visit]}} over a._d * b._d."""
+    table into {(p, q, eps): {(h1, h2): [r, s]}} over a._d * b._d."""
     right = [(key, _view(cells, 1)) for key, cells in b._terms.items()]
     acc: dict[TermKey, dict] = {}
-    visit = 0  # one per (term pair, table entry); each visit feeds one output term
     for (p1, q1, e1), cells1 in a._terms.items():
         n1 = _view(cells1, 1)
         for (p2, q2, e2), n2 in right:
@@ -170,7 +169,6 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
                 cells = acc.get(key)
                 if cells is None:
                     cells = acc[key] = {}
-                visit += 1
                 # a row entry n stands for i^(k % 2) * n: odd k turns r + s*i by i
                 odd = k % 2
                 for h1, h2, r, s in lifted:
@@ -183,19 +181,16 @@ def mul(a: SrcElement, b: SrcElement) -> SrcElement:
                         hk = (h1, h2 + j)
                         cell = cells.get(hk)
                         if cell is None:
-                            cells[hk] = [r * n, s * n, visit]
+                            cells[hk] = [r * n, s * n]
                         else:
                             cell[0] += r * n
                             cell[1] += s * n
-    # Each group gives way to its nonzero pairs, so no second copy builds up.
-    # Terms go in the order of the first visit that left a nonzero pair.
-    firsts = []
+    # Each group gives way to its nonzero pairs in place, so no second copy builds up.
     for key, cells in acc.items():
-        kept = {hk: (r, s) for hk, (r, s, _visit) in cells.items() if r or s}
-        if kept:
-            firsts.append((cells[next(iter(kept))][2], key))
-        acc[key] = kept
-    return _stored(SrcElement, {key: acc[key] for _visit, key in sorted(firsts)}, a._d * b._d)
+        acc[key] = {hk: (r, s) for hk, (r, s) in cells.items() if r or s}
+    for key in [key for key, cells in acc.items() if not cells]:
+        del acc[key]
+    return _stored(SrcElement, acc, a._d * b._d)
 
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:

@@ -15,12 +15,9 @@ import argparse
 import json
 import sys
 
-from . import exprs
+from . import SUITE_NAMES, exprs
 from .algebra import commutator, mul
 from .scalars import ExtractionError
-
-# The verify suites in run order; the suites module keys its runner by them.
-SUITE_NAMES = ("relations", "trace", "hh0", "degeneration", "euler", "chphi", "series", "roundtrip")
 
 
 def _int_at_least(low: int):
@@ -87,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--rt", action="append", default=[], metavar="SYM",
                    help="tangent eigenvalue-pair symbol (repeat n-1 times; '0' for none)")
-    p.add_argument("--theta", metavar="SYM", help="central curvature symbol")
-    p.add_argument("--rn", metavar="SYM", help="normal curvature symbol")
+    p.add_argument("--theta", metavar="SYM", help="central curvature symbol ('0' for none)")
+    p.add_argument("--rn", metavar="SYM", help="normal curvature symbol ('0' for none)")
     add_common(p)
 
     p = sub.add_parser("localtrace", help="fiberwise trace density in the local model")
@@ -192,12 +189,12 @@ def _run_command(args) -> int:
         from .index import FormPoly, index_form
 
         deg = 2 * (args.n - 1)
-        rt = [None if s == "0" else FormPoly.symbol(s, deg) for s in args.rt]
-        if len(rt) < args.n - 1:
-            rt += [None] * (args.n - 1 - len(rt))
-        theta = FormPoly.symbol(args.theta, deg) if args.theta else None
-        rn = FormPoly.symbol(args.rn, deg) if args.rn else None
-        _emit_value(args, _maybe_h2_zero(args, index_form(rt, theta, rn, args.n)))
+
+        def symbol(name):  # absent or '0': no curvature
+            return None if name in (None, "0") else FormPoly.symbol(exprs.check_symbol(name), deg)
+
+        rt = [symbol(s) for s in args.rt] + [None] * (args.n - 1 - len(args.rt))  # index_form refuses extras
+        _emit_value(args, _maybe_h2_zero(args, index_form(rt, symbol(args.theta), symbol(args.rn), args.n)))
         return 0
     if args.command == "localtrace":
         from .index import local_trace_density

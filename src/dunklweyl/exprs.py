@@ -10,6 +10,7 @@ The input grammar (frozen; this docstring is the reference):
     rational := '-'? DIGITS ('/' DIGITS)?
     exponent := '-'? DIGITS
 
+Input is ASCII: any other character is a syntax error at its position.
 '*' is mandatory between factors and whitespace is insignificant.  'zb' is
 the ASCII spelling of the conjugate fiber generator (z-bar).  Negative
 exponents are allowed only on h1; generator powers must be non-negative.
@@ -95,6 +96,9 @@ class _Token(NamedTuple):
 
 
 def _lex(src: str) -> list[_Token]:
+    if not src.isascii():  # then the str tests below are the ASCII ones
+        i = next(i for i, ch in enumerate(src) if not ch.isascii())
+        raise ParseError(i, ("an ASCII character",), repr(src[i]))
     tokens = []
     i, n = 0, len(src)
     while i < n:
@@ -339,6 +343,14 @@ def parse_scalar(src: str) -> ScalarPoly:
     if e != SrcElement.scalar(c):
         raise EvalError("expected a pure scalar expression")
     return c
+
+
+def check_symbol(name: str) -> str:
+    """name, if it spells a curvature symbol: an ASCII letter, then letters or digits, not a grammar atom."""
+    if name.isascii() and name.isalnum() and name[0].isalpha() and name not in _ATOM_NAMES:
+        return name
+    raise EvalError(f"bad curvature symbol {name!r}: expected an ASCII letter, then letters or digits, "
+                    "and not a generator or scalar name")
 
 
 # -- canonical printing ---------------------------------------------------

@@ -86,22 +86,16 @@ class FormPoly(TermMap):
     def degree_component(self, d: int) -> "FormPoly":
         return self.rekey(lambda key: key if _sym_degree(key) == d else None)
 
-    def degree_zero_part(self) -> ScalarPoly:
-        return self.coefficient(())
-
     # -- arithmetic ----------------------------------------------------
-
-    def _out_degree(self, other: "FormPoly") -> int:
-        return min(self.max_form_degree, other.max_form_degree)
 
     def __add__(self, other: "FormPoly") -> "FormPoly":
         # a sum is known only up to the smaller truncation degree
-        deg = self._out_degree(other)
+        deg = min(self.max_form_degree, other.max_form_degree)
         total = TermMap.__add__(self, other).rekey(lambda key: None if _sym_degree(key) > deg else key)
         return _truncated(total, deg)
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
-        deg = self._out_degree(other)
+        deg = min(self.max_form_degree, other.max_form_degree)
         return _truncated(self.product(other, lambda k1, k2: _product_key(k1, k2, deg)), deg)
 
     def __repr__(self) -> str:
@@ -144,7 +138,7 @@ def a_hat_factor(order: int) -> TruncSeries:
 
 def eval_series_at_form(series: TruncSeries, s: FormPoly) -> FormPoly:
     """Substitute a nilpotent form for the series variable (finite sum)."""
-    if not s.degree_zero_part().is_zero():
+    if not s.coefficient(()).is_zero():
         raise ValueError("form substituted into a series must have no degree-0 part")
     top = min(series.order, s.max_form_degree // 2)
     return power_sum(series.coeffs[: top + 1], s, FormPoly.one(s.max_form_degree))
@@ -297,11 +291,11 @@ def local_trace_density(F: LocalElement) -> LocalElement:
     """Apply the spherical trace to the fiber variables, returning a base poly.
 
     The input must be invariant in the fiber after folding; the output is the
-    coefficient of the base volume element.
+    coefficient of the base volume element.  A parity error names the first
+    offending fiber part in canonical order.
     """
-    folded = fiber_fold(F)
     out: dict[LocalKey, ScalarPoly] = {}
-    for (base, p, q, _eps), c in folded.term_map().items():
+    for (base, p, q, _eps), c in fiber_fold(F).terms():
         if (p + q) % 2 != 0:
             raise ParityError(f"fiber part z^{p} zb^{q} is not invariant")
         if p != q:

@@ -377,9 +377,8 @@ def _lift(polys: dict) -> tuple[dict, int]:
 def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
     """Add m * cells into out[key]: the one merge of every term map.
 
-    A new key goes last, a pair or key that cancels drops, and a key keeps
-    its position while it lasts, as a dict of ScalarPoly sums would order it.
-    Copies cells on first sight, so out owns every pair map it holds.
+    A pair or key that cancels drops.  Copies cells on first sight, so out
+    owns every pair map it holds.
     """
     mine = out.get(key)
     if mine is None:
@@ -424,16 +423,16 @@ class TermMap:
     denominator d > 0 and {key: {(h1, h2): (r, s)}}, standing for the sum of
     (r + s*i)/d * h1^h1 * h2^h2 * key.  The storage is in lowest terms (the
     gcd of d with every r and s is 1, and zero has d == 1), so equal values
-    have equal storage and hashes.  A subclass checks and normalises keys
-    (`_key`, whose None drops a term) and chooses the canonical term order
-    (`_order`) and the printer in the exprs module.
+    have equal storage and hashes; its order is unspecified.  A subclass
+    checks and normalises keys (`_key`, whose None drops a term) and chooses
+    the printer in the exprs module and the canonical term order (`_order`)
+    of terms(), the printers and every error that names a term.
 
     Containers reach the storage through two operations besides the linear
     structure: rekey moves every term to a new key, and product extends a
     product of keys bilinearly (scale is the product with a one-term map).
-    Both merge through _merge, so they keep the term order of a dict of
-    ScalarPoly sums.  terms(), term_map() and coefficient() build ScalarPoly
-    views; instances are treated as immutable.
+    Both merge through _merge; terms(), term_map() and coefficient() build
+    ScalarPoly views.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
@@ -506,14 +505,14 @@ class TermMap:
     # -- re-keys and products --------------------------------------------
 
     def rekey(self, fn, cls=None):
-        """The sum of coeff * fn(key) over the terms, merged in storage order,
-        as a cls (default: built as self).  A None key drops its term, and an
-        error raised by fn propagates unchanged."""
+        """The sum of coeff * fn(key) over the terms, as a cls (default: built
+        as self).  A None key drops its term.  fn sees the keys in canonical
+        order, so an error it raises names the first offending term."""
         out: dict = {}
-        for key, cells in self._terms.items():
-            key = fn(key)
-            if key is not None:
-                _merge(out, key, cells)
+        for key in sorted(self._terms, key=self._order):
+            new = fn(key)
+            if new is not None:
+                _merge(out, new, self._terms[key])
         return self._new(out, self._d) if cls is None else _stored(cls, out, self._d)
 
     def product(self, other, key_of):

@@ -18,9 +18,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable
 
-from . import exprs
+from . import SUITE_NAMES, exprs
 from .algebra import SrcElement, commutator, mul
-from .cli import SUITE_NAMES
 from .hochschild import certify_monomial, check_report_degree
 from .index import inv_sinh_quotient
 from .scalars import (

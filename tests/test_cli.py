@@ -291,6 +291,38 @@ class TestNesting:
         assert max(depths) == 1 < exprs.NESTING_LIMIT
 
 
+def test_non_ascii_string_in_a_certificate(capsys, tmp_path):
+    data = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+    data["witnesses"][0]["left"] = "z^\u00b2"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(data))
+    want = "error: syntax error at position 2: expected an ASCII character, got '\u00b2'\n"
+    assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", want)
+
+
+class TestCurvatureSymbols:
+    """A curvature symbol of `index` is an ASCII letter followed by letters or
+    digits and no atom of the grammar; '0' means none for every option."""
+
+    @pytest.mark.parametrize("name", ["0", "h1", "A*B", "", "z", "zb", "p1", "i", "1T", "T_1", "T\u00df"])
+    @pytest.mark.parametrize("option", ["--rt", "--theta", "--rn"])
+    def test_names(self, capsys, option, name):
+        code, out, err = run_cli(capsys, "index", "--n", "2", option, name)
+        if name == "0":
+            assert (code, out, err) == (0, "0\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: bad curvature symbol {name!r}: ")
+
+    def test_zero_beside_a_symbol(self, capsys):
+        assert run_cli(capsys, "index", "--n", "2", "--rt", "0", "--theta", "T", "--rn", "0") == (0, "(-1)*T\n", "")
+
+    def test_benchmark_names_stay_valid(self, capsys):
+        code, out, err = run_cli(capsys, "index", "--n", "3", "--rt", "R1", "--rt", "R2", "--theta", "T", "--rn", "N")
+        assert code == 0 and err == ""
+        assert {"R1^2", "R2^2", "N*T", "T^2"} <= {term.rpartition(")*")[2] for term in out.strip().split(" + ")}
+
+
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "relations")
@@ -582,6 +614,22 @@ def test_cold_imports_follow_the_subcommand():
     front = {"dunklweyl", "dunklweyl.cli", "dunklweyl.exprs", "dunklweyl.algebra", "dunklweyl.scalars"}
     assert set(nf) == front
     assert "dunklweyl.suites" in verify and front < set(verify)
+
+
+def test_cli_is_imported_once():
+    """Under `python -m dunklweyl.cli` the CLI runs as __main__; the suites
+    read SUITE_NAMES from the package, so dunklweyl.cli is never imported
+    a second time."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dunklweyl.cli", "verify", "--suite", "relations"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"dunklweyl", "dunklweyl.suites"} <= imported
+    assert "dunklweyl.cli" not in imported
 
 
 def test_suite_choices_follow_the_runner_table():

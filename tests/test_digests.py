@@ -2,7 +2,8 @@
 
 The benchmark checks its operations against these digests; this test replays
 the recorded `dunkl verify` and `dunkl hh0` requests and the seed-1 suite
-battery in process, so a change to the report bytes fails tier-1 too.  It
+battery in process, so a change to the report bytes fails tier-1 too, and
+checks that scripts/run_verify.py runs the benchmark's battery parameters.  It
 only reads bench/.
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from dunklweyl.cli import main
+from dunklweyl.suites import RunConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
@@ -63,3 +65,17 @@ def test_battery_matches_recorded_digests():
     got = {f"{BATTERY_PREFIX}{name}": s["digest"] for name, s in summary.items()}
     want = {k: v for k, v in DIGESTS.items() if k.startswith(BATTERY_PREFIX)}
     assert got == want
+
+
+def test_battery_parameters_match_the_benchmark():
+    # scripts/run_verify.py runs the battery at the parameters the benchmark times
+    spec = importlib.util.spec_from_file_location("_run_verify", BENCH.parent / "scripts" / "run_verify.py")
+    run_verify = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(run_verify)  # puts src/ on sys.path
+    finally:
+        sys.path[:] = path
+    acceptance = _load("child").ACCEPTANCE
+    assert list(run_verify.PARAMS) == list(acceptance)
+    assert run_verify.PARAMS == {name: RunConfig(**params) for name, params in acceptance.items()}

@@ -115,6 +115,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("2 z")
 
+    @pytest.mark.parametrize(
+        "src, pos",
+        [("z^\u00b2", 2), ("\u0663*z", 0), ("\uff12*z", 0), ("z\u0663", 1), ("z +\u00a0zb", 3), ("\u00e9", 0)],
+        ids=["superscript-two", "arabic-indic-three", "fullwidth-two", "digit-in-name", "no-break-space", "letter"],
+    )
+    def test_non_ascii_is_a_positioned_error(self, capsys, src, pos):
+        # DIGITS, names and whitespace of the grammar are ASCII only
+        want = f"syntax error at position {pos}: expected an ASCII character, got {src[pos]!r}"
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert err.value.pos == pos and str(err.value) == want
+        assert main(["nf", src]) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
     def test_rationals(self):
         assert parse_scalar("3/2") == ScalarPoly.from_rational(Fraction(3, 2))
         assert parse_scalar("-3/2 + i") == ScalarPoly.from_rational(Fraction(-3, 2), 1)
