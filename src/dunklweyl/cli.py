@@ -6,13 +6,12 @@ exprs module ('zb' spells the conjugate generator).  Exit status: 0 on
 success, 1 when a verification suite fails, 2 on usage or parse errors.
 
 A cold call imports only what its subcommand runs: exprs, algebra and scalars
-here, every other engine module inside the branch that uses it.
+here; every other engine module, and json, only where it is used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import SUITE_NAMES, exprs
@@ -102,11 +101,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, indent=2))
+
+
 def _emit_value(args, value, to_json=None) -> None:
     """Print value in the requested format, building only that one: its
     canonical text, or to_json(value) (value.to_json() by default)."""
     if args.format == "json":
-        print(json.dumps(to_json(value) if to_json else value.to_json(), indent=2))
+        _print_json(to_json(value) if to_json else value.to_json())
     else:
         print(value.to_text())
 
@@ -150,9 +155,13 @@ def _run_command(args) -> int:
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            cert = Certificate.from_json(text)
-            ok = check_certificate(cert)
-            print(json.dumps({"ok": ok}, indent=2) if args.format == "json" else "ok" if ok else "FAIL")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"certificate JSON: {exc}") from None
+            ok = check_certificate(Certificate.from_json(text))
+            if args.format == "json":
+                _print_json({"ok": ok})
+            else:
+                print("ok" if ok else "FAIL")
             return 0 if ok else 1
         f = exprs.parse_invariant(args.expr)
         terms = list(f.terms())
@@ -167,7 +176,7 @@ def _run_command(args) -> int:
 
         report = hh0_report(args.degree if args.degree % 2 == 0 else args.degree - 1)
         if args.format == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
+            _print_json(report.to_json_dict())
         else:
             for e in report.entries:
                 mark = "ok  " if e.ok else "FAIL"
@@ -180,7 +189,7 @@ def _run_command(args) -> int:
         series = ch_phi(args.order)
         coeffs = [c.subs_h2_zero() if args.h2_zero else c for c in series.coeffs]
         if args.format == "json":
-            print(json.dumps({str(k): c.to_json() for k, c in enumerate(coeffs)}, indent=2))
+            _print_json({str(k): c.to_json() for k, c in enumerate(coeffs)})
         else:
             for k, c in enumerate(coeffs):
                 print(f"t^{k}: {exprs.scalar_to_text(c)}")

@@ -25,11 +25,10 @@ canonical forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .algebra import SrcElement
-from .scalars import GaussianRational, ScalarPoly
+from .scalars import GaussianRational, ScalarPoly, gaussian
 
 if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
     from .index import LocalElement
@@ -58,7 +57,8 @@ class EvalError(ValueError):
 
 
 class Num(NamedTuple):
-    value: Fraction
+    num: int  # the rational num/den, den > 0
+    den: int = 1
 
 
 class Atom(NamedTuple):
@@ -239,8 +239,7 @@ class _Parser:
             den = int(den_tok.text)
             if den == 0:
                 raise ParseError(den_tok.pos, ("a nonzero denominator",), "0")
-        value = Fraction(num, den)
-        return Num(-value if negative else value)
+        return Num(-num if negative else num, den)
 
 
 def parse(src: str) -> Node:
@@ -258,14 +257,14 @@ _POWER_ATOMS = {"z", "zb", "h1", "h2"}
 
 def _eval_generic(node: Node, atom_fn):
     if isinstance(node, Num):
-        return atom_fn("__num__", node.value)
+        return atom_fn("__num__", node)
     if isinstance(node, Atom):
         return atom_fn(node.name, 1)
     if isinstance(node, Pow):
         if isinstance(node.base, Atom) and node.base.name in _POWER_ATOMS:
             return atom_fn(node.base.name, node.exp)
         base = _eval_generic(node.base, atom_fn)
-        out = atom_fn("__num__", Fraction(1))
+        out = atom_fn("__num__", Num(1))
         for _ in range(node.exp):
             out = out * base
         return out
@@ -275,7 +274,7 @@ def _eval_generic(node: Node, atom_fn):
             out = out * _eval_generic(f, atom_fn)
         return out
     if isinstance(node, Sum):
-        out = atom_fn("__num__", Fraction(0))
+        out = atom_fn("__num__", Num(0))
         for sign, part in node.parts:
             value = _eval_generic(part, atom_fn)
             out = out + (value if sign == 1 else -value)
@@ -285,9 +284,9 @@ def _eval_generic(node: Node, atom_fn):
 
 def _element_atom(name: str, arg) -> SrcElement:
     """The atom table of eval_element; the local model lifts it to the fiber.
-    arg is a number's rational or a generator's exponent."""
+    arg is a number's Num or a generator's exponent."""
     if name == "__num__":
-        return SrcElement.scalar(ScalarPoly.from_rational(arg))
+        return SrcElement.scalar(ScalarPoly.monomial(gaussian(arg.num, 0, arg.den)))
     if name == "i":
         return SrcElement.scalar(ScalarPoly.i())
     if name == "h1":

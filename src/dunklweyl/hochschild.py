@@ -14,7 +14,7 @@ process can replay them with nothing but the parser and the star product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .scalars import GaussianRational, ScalarPoly
 from .spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
@@ -23,8 +23,7 @@ from .trace import class_scalar, phi, recursion_scalar
 MAX_REPORT_DEGREE = 24
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One commutator summand: coeff * (left star right - right star left)."""
 
     coeff: ScalarPoly
@@ -42,8 +41,7 @@ def _json_field(obj, key: str, kind: type):
     return value
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Witness that target - scalar*1 lies in the span of star commutators."""
 
     target: InvariantPoly
@@ -92,6 +90,8 @@ class Certificate:
             data = json.loads(text)
         except RecursionError:
             raise ValueError("certificate JSON: nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"certificate JSON: {exc}") from None
         return Certificate.from_json_dict(data)
 
 
@@ -132,8 +132,7 @@ def check_certificate(cert: Certificate) -> bool:
     return lhs == acc
 
 
-@dataclass(frozen=True)
-class Hh0Entry:
+class Hh0Entry(NamedTuple):
     """One monomial's certificate scalar, replay verdict and trace, as text."""
 
     monomial: str
@@ -162,10 +161,9 @@ def certify_monomial(m: InvariantPoly) -> Hh0Entry:
     )
 
 
-@dataclass(frozen=True)
-class Hh0Report:
+class Hh0Report(NamedTuple):
     max_degree: int
-    entries: tuple[Hh0Entry, ...] = field(default_factory=tuple)
+    entries: tuple[Hh0Entry, ...] = ()
 
     @property
     def all_ok(self) -> bool:

@@ -17,13 +17,12 @@ and returns a base polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import GaussianRational, ScalarPoly, TermMap, TruncSeries, accumulate, power_sum, series_exp
+from .scalars import ScalarPoly, TermMap, TruncSeries, accumulate, gaussian, power_sum, series_exp
 from .scalars import series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
 from .trace import ch_phi, class_scalar
@@ -125,8 +124,7 @@ def inv_sinh_quotient(order: int) -> TruncSeries:
     coeffs = [ScalarPoly.zero() for _ in range(order + 1)]
     m = 0
     while 2 * m <= order:
-        denom = 4**m * factorial(2 * m + 1)
-        coeffs[2 * m] = ScalarPoly.from_rational(Fraction(1, denom))
+        coeffs[2 * m] = ScalarPoly.monomial(gaussian(1, 0, 4**m * factorial(2 * m + 1)))
         m += 1
     return series_inverse(TruncSeries(coeffs, order))
 
@@ -250,20 +248,20 @@ class LocalElement(TermMap):
 def _base_moyal(e1: BaseKey, e2: BaseKey) -> dict[BaseKey, ScalarPoly]:
     """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1."""
     d1, d2 = dict(e1), dict(e2)
-    # partial products over the pairs seen so far: (base key, weight, h1 power)
-    results: list[tuple[BaseKey, Fraction, int]] = [((), Fraction(1), 0)]
+    # partial products over the pairs seen so far: (base key, weight n/d, h1 power)
+    results: list[tuple[BaseKey, int, int, int]] = [((), 1, 1, 0)]
     for i in sorted({v // 2 for v in d1} | {v // 2 for v in d2}):
         pv, qv = 2 * i, 2 * i + 1
         p1, q1, p2, q2 = d1.get(pv, 0), d1.get(qv, 0), d2.get(pv, 0), d2.get(qv, 0)
         step = [
-            (((pv, p1 + p2 - a - b), (qv, q1 + q2 - a - b)), count / 2 ** (a + b), a + b)
-            for a, b, count in symmetric_weyl_terms(p1, q1, p2, q2)
+            (((pv, p1 + p2 - a - b), (qv, q1 + q2 - a - b)), n, d * 2 ** (a + b), a + b)
+            for a, b, n, d in symmetric_weyl_terms(p1, q1, p2, q2)
         ]
-        results = [(k + sk, w * sw, h + sh) for k, w, h in results for sk, sw, sh in step]
+        results = [(k + sk, n * sn, d * sd, h + sh) for k, n, d, h in results for sk, sn, sd, sh in step]
     out: dict[BaseKey, ScalarPoly] = {}
-    for key, w, h in results:
+    for key, n, d, h in results:
         key = tuple((v, e) for v, e in key if e != 0)
-        accumulate(out, key, ScalarPoly.monomial(GaussianRational.of(w), h, 0))
+        accumulate(out, key, ScalarPoly.monomial(gaussian(n, 0, d), h, 0))
     return out
 
 

@@ -8,9 +8,11 @@ exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:  # re and im import it when called, so no engine call loads it
+    from fractions import Fraction
 
 
 class NonInvertibleError(ValueError):
@@ -29,31 +31,25 @@ class ExtractionError(RuntimeError):
     """Internal consistency failure: a product left the invariant corner."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 class GaussianRational:
     """A Gaussian rational (r + s*i) / d held as three Python integers.
 
     The triple is kept in lowest terms: gcd(r, s, d) == 1 and d > 0, so equal
     values have equal triples and equal hashes.  Arithmetic uses integer
-    products and one gcd per result; Fraction appears only at the boundary,
-    in the constructor and in the `re` and `im` properties.
+    products and one gcd per result.  Every value is built from integers by
+    `gaussian`; only the `re` and `im` properties import Fraction.
     """
 
     __slots__ = ("_r", "_s", "_d")
 
-    def __init__(self, re=0, im=0):
-        re, im = _frac(re), _frac(im)
-        d = lcm(re.denominator, im.denominator)
-        self._r = re.numerator * (d // re.denominator)
-        self._s = im.numerator * (d // im.denominator)
-        self._d = d
+    def __new__(cls, re=0, im=0):
+        """re + im*i for ints or Fractions, read by numerator and denominator."""
+        try:
+            rn, rd, sn, sd = re.numerator, re.denominator, im.numerator, im.denominator
+        except AttributeError:
+            kinds = f"{type(re).__name__} and {type(im).__name__}"
+            raise TypeError(f"expected ints or Fractions, got {kinds}") from None
+        return gaussian(rn * sd, sn * rd, rd * sd)
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
@@ -61,10 +57,14 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._r, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._s, self._d)
 
     def parts(self) -> tuple[int, int, int, int]:
@@ -75,7 +75,7 @@ class GaussianRational:
         return r // g, d // g, s // h, d // h
 
     # __add__ and __mul__ run once per coefficient sum and product of every
-    # engine layer, so they inline _reduced instead of calling it.
+    # engine layer, so they inline gaussian instead of calling it.
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         d1 = self._d
@@ -145,7 +145,7 @@ class GaussianRational:
         if not norm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         d = self._d
-        return _reduced(d * r, -d * s, norm)
+        return gaussian(d * r, -d * s, norm)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         return self * other.inverse()
@@ -168,8 +168,10 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _reduced(r: int, s: int, d: int) -> GaussianRational:
-    """The Gaussian rational (r + s*i) / d, d > 0, brought to lowest terms."""
+def gaussian(r: int, s: int, d: int) -> GaussianRational:
+    """The Gaussian rational (r + s*i) / d of integers, d != 0, in lowest terms."""
+    if d < 0:
+        r, s, d = -r, -s, -d
     if d != 1:
         g = gcd(r, s, d)
         if g != 1:
@@ -360,7 +362,7 @@ Cells = dict[tuple[int, int], tuple[int, int]]
 
 def _view(cells: Cells, d: int) -> ScalarPoly:
     """The ScalarPoly of one term's pairs over d, each coefficient reduced."""
-    return ScalarPoly.from_clean({hk: _reduced(r, s, d) for hk, (r, s) in cells.items()})
+    return ScalarPoly.from_clean({hk: gaussian(r, s, d) for hk, (r, s) in cells.items()})
 
 
 def _lift(polys: dict) -> tuple[dict, int]:
@@ -636,8 +638,9 @@ def power_sum(coeffs: list, u, one):
     return out
 
 
-def _rational_power_sum(fracs: Iterable[Fraction], u: TruncSeries) -> TruncSeries:
-    coeffs = [ScalarPoly.from_rational(f) for f in fracs]
+def _rational_power_sum(ratios: Iterable[tuple[int, int]], u: TruncSeries) -> TruncSeries:
+    """power_sum with the rational coefficients n/d of the pairs (n, d)."""
+    coeffs = [ScalarPoly.monomial(gaussian(n, 0, d)) for n, d in ratios]
     return power_sum(coeffs, u, TruncSeries.one(u.order))
 
 
@@ -645,15 +648,15 @@ def series_exp(s: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, by summing s^k / k!."""
     if not s.coeffs[0].is_zero():
         raise SeriesDomainError("series_exp needs a zero constant term")
-    return _rational_power_sum((Fraction(1, factorial(k)) for k in range(s.order + 1)), s)
+    return _rational_power_sum(((1, factorial(k)) for k in range(s.order + 1)), s)
 
 
 def series_log(s: TruncSeries) -> TruncSeries:
     """log of a series with constant term 1 (the exp oracle's inverse)."""
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_log needs constant term 1")
-    fracs = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, s.order + 1)]
-    return _rational_power_sum(fracs, s - TruncSeries.one(s.order))
+    ratios = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, s.order + 1)]
+    return _rational_power_sum(ratios, s - TruncSeries.one(s.order))
 
 
 def series_sqrt(s: TruncSeries) -> TruncSeries:
@@ -661,11 +664,11 @@ def series_sqrt(s: TruncSeries) -> TruncSeries:
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_sqrt needs constant term 1")
     # binomial(1/2, k) = (-1)^(k+1) * C(2k, k) / (4^k * (2k - 1))
-    fracs = (
-        Fraction((-1) ** (k + 1) * comb(2 * k, k), 4**k * (2 * k - 1))
+    ratios = (
+        ((-1) ** (k + 1) * comb(2 * k, k), 4**k * (2 * k - 1))
         for k in range(s.order + 1)
     )
-    return _rational_power_sum(fracs, s - TruncSeries.one(s.order))
+    return _rational_power_sum(ratios, s - TruncSeries.one(s.order))
 
 
 def series_inverse(s: TruncSeries) -> TruncSeries:

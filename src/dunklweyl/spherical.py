@@ -12,13 +12,12 @@ the degeneration oracle at h2 = 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, perm
 from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate
+from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate, gaussian
 
 PairKey = tuple[int, int]
 
@@ -143,29 +142,26 @@ def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
         for (p2, q2), c2 in g.term_map().items():
             base = c1 * c2
             for k in range(min(q1, p2) + 1):
-                count = Fraction(perm(q1, k) * perm(p2, k), factorial(k))
-                weight = minus_ih1.pow(k).scale(GaussianRational.of(count))
+                count = gaussian(perm(q1, k) * perm(p2, k), 0, factorial(k))
+                weight = minus_ih1.pow(k).scale(count)
                 accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
     return InvariantPoly(acc)
 
 
 def symmetric_weyl_terms(
     p1: int, q1: int, p2: int, q2: int
-) -> Iterator[tuple[int, int, Fraction]]:
+) -> Iterator[tuple[int, int, int, int]]:
     """The Weyl-symmetric product of x^p1 y^q1 and x^p2 y^q2, term by term.
 
-    With [x, y] = 2*s, the product is the sum over the yielded (a, b, count)
-    of count * s^(a+b) * x^(p1+p2-a-b) * y^(q1+q2-a-b): a contractions of
+    With [x, y] = 2*s, the product is the sum over the yielded (a, b, n, d)
+    of (n/d) * s^(a+b) * x^(p1+p2-a-b) * y^(q1+q2-a-b): a contractions of
     x on the left with y on the right, b of y on the left with x on the
-    right, weighted by falling factorials over a!*b! and the sign (-1)^b.
+    right, weighted by falling factorials over d = a!*b! and the sign (-1)^b.
     """
     for a in range(min(p1, q2) + 1):
         for b in range(min(q1, p2) + 1):
-            count = Fraction(
-                perm(p1, a) * perm(q1, b) * perm(q2, a) * perm(p2, b),
-                factorial(a) * factorial(b),
-            )
-            yield a, b, -count if b % 2 == 1 else count
+            n = perm(p1, a) * perm(q1, b) * perm(q2, a) * perm(p2, b)
+            yield a, b, -n if b % 2 == 1 else n, factorial(a) * factorial(b)
 
 
 def invariant_monomials(max_degree: int) -> list[InvariantPoly]:

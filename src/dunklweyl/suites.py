@@ -13,19 +13,17 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import SUITE_NAMES, exprs
 from .algebra import SrcElement, commutator, mul
 from .hochschild import certify_monomial, check_report_degree
 from .index import inv_sinh_quotient
 from .scalars import (
-    GaussianRational,
     ScalarPoly,
     TruncSeries,
+    gaussian,
     series_exp,
     series_inverse,
     series_log,
@@ -41,8 +39,7 @@ from .spherical import (
 )
 from .trace import ch_phi, phi, trace_defect
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Knobs shared by the CLI and the suites; defaults are deterministic.
 
     The report's config also carries "jobs": 1 and "h2_zero": false, fixed
@@ -55,16 +52,14 @@ class RunConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     id: str
     ok: bool
     expected: str
     actual: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     cases: list[Case]
     wall_ms: float
@@ -87,8 +82,8 @@ class Report:
         return {
             "schema": "dunkl-report/1",
             "suite": self.suite,
-            "config": {**asdict(self.config), "jobs": 1, "h2_zero": False},
-            "cases": [asdict(c) for c in self.cases],
+            "config": {**self.config._asdict(), "jobs": 1, "h2_zero": False},
+            "cases": [c._asdict() for c in self.cases],
             "passed": self.passed,
             "failed": self.failed,
             "wall_ms": self.wall_ms,
@@ -214,7 +209,7 @@ def suite_euler(cfg: RunConfig) -> Work:
 
         def thunk(m=m, p=p, q=q):
             got = star_commutator(m, zzb)
-            want = m.scale(ScalarPoly.monomial(GaussianRational.of(0, p - q), 1, 0))
+            want = m.scale(ScalarPoly.monomial(gaussian(0, p - q, 1), 1, 0))
             if euler_derivation(m) != want:
                 return False, want.to_text(), euler_derivation(m).to_text()
             return _eq_case(want.to_text(), got.to_text())
@@ -245,7 +240,7 @@ def suite_chphi(cfg: RunConfig) -> Work:
             return _eq_case(frozen, series.coeffs[k].to_text())
 
         def thunk_b(k=k, fact=fact):
-            oracle = phi(zzb.poly_pow(k)).scale(GaussianRational.of(Fraction(1, fact)))
+            oracle = phi(zzb.poly_pow(k)).scale(gaussian(1, 0, fact))
             return _eq_case(oracle.to_text(), series.coeffs[k].to_text())
 
         work.append((cid_a, thunk_a))
@@ -258,11 +253,11 @@ def _random_scalar(rng: random.Random, allow_negative_h1: bool = False) -> Scala
     for _ in range(rng.randint(1, 3)):
         a = rng.randint(-1 if allow_negative_h1 else 0, 2)
         b = rng.randint(0, 2)
-        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if re == 0 and im == 0:
-            re = Fraction(1)
-        terms[(a, b)] = GaussianRational.of(re, im)
+        rn, rd = rng.randint(-4, 4), rng.randint(1, 3)
+        sn, sd = rng.randint(-4, 4), rng.randint(1, 3)
+        if rn == 0 and sn == 0:
+            rn, rd = 1, 1
+        terms[(a, b)] = gaussian(rn * sd, sn * rd, rd * sd)
     return ScalarPoly(terms)
 
 

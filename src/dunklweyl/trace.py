@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import factorial, gcd
 
-from .scalars import GaussianRational, ScalarPoly, TruncSeries, _reduced
+from .scalars import GaussianRational, ScalarPoly, TruncSeries, gaussian
 from .spherical import InvariantPoly, star_commutator
 
 
@@ -33,7 +33,7 @@ def step_factor(l: int) -> ScalarPoly:
     if l < 1:
         raise ValueError("step index starts at 1")
     c0, c1, den = _step(l)
-    return ScalarPoly.from_clean({(0, 0): _reduced(c0, 0, den), (0, 1): _reduced(c1, 0, den)})
+    return ScalarPoly.from_clean({(0, 0): gaussian(c0, 0, den), (0, 1): gaussian(c1, 0, den)})
 
 
 def recursion_scalar(k: int) -> ScalarPoly:
@@ -72,7 +72,7 @@ def _class_over(k: int, divisor: int) -> ScalarPoly:
     nums, den = _CLASS_ROWS[k]
     den *= divisor
     re, im = _I_POWERS[k % 4]
-    terms = {(k, j): _reduced(re * n, im * n, den) for j, n in enumerate(nums) if n}
+    terms = {(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(nums) if n}
     return ScalarPoly.from_clean(terms)
 
 

@@ -17,7 +17,7 @@ from dunklweyl import algebra, cli, exprs, index, scalars, spherical
 from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.exprs import parse_element
 from dunklweyl.index import FormPoly, LocalElement
-from dunklweyl.scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, _reduced, accumulate
+from dunklweyl.scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate, gaussian
 from dunklweyl.spherical import InvariantPoly
 from tests.conftest import idempotent, scalar_polys
 
@@ -235,7 +235,7 @@ def ref_kernel_mul(a: RefElement, b: RefElement) -> RefElement:
     grouped: dict = {}
     for (p, q, e, h1, h2), (r, s) in acc.items():
         if r or s:
-            grouped.setdefault((p, q, e), {})[(h1, h2)] = _reduced(r, s, den)
+            grouped.setdefault((p, q, e), {})[(h1, h2)] = gaussian(r, s, den)
     return RefElement({key: ScalarPoly(terms) for key, terms in grouped.items()})
 
 

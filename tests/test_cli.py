@@ -446,16 +446,23 @@ class TestCertifyReplay:
             '{"target": "z*zb", "scalar": "0", '
             '"witnesses": [{"coeff": "1", "left": 5, "right": "z*zb"}]}',
             '{"target": "z*zb", "scalar": "0", "witnesses": 3}',
+            "not json",
+            b'{"target": "\xff"}',
         ],
-        ids=["missing-file", "top-level-list", "missing-scalar", "left-not-text", "witnesses-not-list"],
+        ids=["missing-file", "top-level-list", "missing-scalar", "left-not-text", "witnesses-not-list",
+             "not-json", "not-utf8"],
     )
     def test_malformed_certificate_is_usage_error(self, capsys, tmp_path, content):
         cert_file = tmp_path / "cert.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            cert_file.write_bytes(content)
+        elif content is not None:
             cert_file.write_text(content)
         code, out, err = run_cli(capsys, "certify", "--check", str(cert_file))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+        if content is not None:  # the missing file is an OS error; the rest name the certificate
+            assert err.startswith("error: certificate JSON: ")
         # a well-formed certificate with a wrong scalar is a failed check
         good = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
         good["scalar"] += " + h1"
@@ -614,6 +621,40 @@ def test_cold_imports_follow_the_subcommand():
     front = {"dunklweyl", "dunklweyl.cli", "dunklweyl.exprs", "dunklweyl.algebra", "dunklweyl.scalars"}
     assert set(nf) == front
     assert "dunklweyl.suites" in verify and front < set(verify)
+
+
+def test_cold_calls_load_no_unused_stdlib_modules(tmp_path):
+    """A fresh interpreter running every subcommand, one after another, loads
+    json only once JSON is read or written, and never the rational, dataclass
+    or introspection modules: the engine is integers from parse to print."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from dunklweyl import cli\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    return out.getvalue()\n"
+        "run('nf', 'zb^3*g*z^3')\n"
+        "assert 'json' not in sys.modules, 'json loaded by a text-format call'\n"
+        "run('nf', 'zb^3*g*z^3', '--format', 'json')\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    fh.write(run('certify', 'z^2*zb^2'))\n"
+        "run('certify', '--check', sys.argv[1])\n"
+        "run('hh0', '--degree', '2')\n"
+        "run('star', 'z^2', 'zb^2')\n"
+        "run('trace', 'z*zb')\n"
+        "run('chphi')\n"
+        "run('index', '--n', '2', '--theta', 'T')\n"
+        "run('localtrace', '--n', '1', 'z*zb')\n"
+        "run('verify', '--suite', 'relations')\n"
+        "print(' '.join(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cert.json")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cli_is_imported_once():

@@ -49,6 +49,10 @@ def random_element(rng, max_degree=8):
     return SrcElement(terms)
 
 
+# numerators and denominators: zero, small (often reducible) and 40 digits
+numeral_ints = st.one_of(st.integers(0, 12), st.integers(10**39, 10**40 - 1))
+
+
 class TestParse:
     def test_commutator_expression(self):
         e = parse_element("z*zb - zb*z")
@@ -134,6 +138,18 @@ class TestParse:
         assert parse_scalar("-3/2 + i") == ScalarPoly.from_rational(Fraction(-3, 2), 1)
         with pytest.raises(ParseError):
             parse("1/0")
+
+    @given(st.booleans(), numeral_ints, st.none() | numeral_ints.filter(bool), st.integers(1, 6),
+           st.integers(0, 2), st.integers(0, 2))
+    @example(True, 0, 7, 3, 1, 0)
+    def test_rationals_agree_with_fraction(self, negative, num, den, common, num_zeros, den_zeros):
+        """The parser's integer numerals read as Fraction reads them."""
+        text = "-" * negative + "0" * num_zeros + str(num * common)
+        value = Fraction(num * common)
+        if den is not None:
+            text += "/" + "0" * den_zeros + str(den * common)
+            value = Fraction(num * common, den * common)
+        assert parse_scalar(text) == ScalarPoly.from_rational(-value if negative else value)
 
 
 class TestEval:

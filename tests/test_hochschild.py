@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -114,5 +113,5 @@ class TestReport:
         assert entry.monomial == "z^2*zb^2" and entry.checked
         assert entry.scalar == entry.phi == phi(InvariantPoly.monomial(2, 2)).to_text()
         assert entry.ok
-        wrong = replace(entry, phi="0")
+        wrong = entry._replace(phi="0")
         assert not wrong.matches_phi and not wrong.ok

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 
@@ -15,6 +17,7 @@ from dunklweyl.spherical import (
     moyal_star,
     star,
     star_commutator,
+    symmetric_weyl_terms,
 )
 from tests.conftest import embed, idempotent
 
@@ -132,3 +135,27 @@ class TestMoyal:
         for _ in range(25):
             f, g = random_invariant(rng, 6), random_invariant(rng, 6)
             assert star(f, g).subs_h2_zero() == moyal_star(f.subs_h2_zero(), g.subs_h2_zero())
+
+    def test_integer_counts_against_fraction_reference(self):
+        """The integer counts of moyal_star and symmetric_weyl_terms equal
+        their closed forms computed with Fraction."""
+        minus_i = [(1, 0), (0, -1), (-1, 0), (0, 1)]  # (-i)^k by k % 4
+        for p1, q1, p2, q2 in itertools.product(range(5), repeat=4):
+            want = {}
+            for a in range(min(p1, q2) + 1):
+                for b in range(min(q1, p2) + 1):
+                    count = Fraction(perm(p1, a) * perm(q2, a), factorial(a))
+                    count *= Fraction(perm(q1, b) * perm(p2, b), factorial(b)) * (-1) ** b
+                    want[a, b] = count
+            got = {(a, b): Fraction(n, d) for a, b, n, d in symmetric_weyl_terms(p1, q1, p2, q2)}
+            assert got == want
+            if (p1 + q1) % 2 or (p2 + q2) % 2:
+                continue
+            terms = {}
+            for k in range(min(q1, p2) + 1):
+                count = Fraction(perm(q1, k) * perm(p2, k), factorial(k))
+                re, im = minus_i[k % 4]
+                terms[p1 + p2 - k, q1 + q2 - k] = ScalarPoly.monomial(
+                    GaussianRational.of(count * re, count * im), k, 0
+                )
+            assert moyal_star(M(p1, q1), M(p2, q2)) == InvariantPoly(terms)
