@@ -3,24 +3,76 @@
 Subcommands: nf, mul, comm, star, trace, certify, hh0, chphi, index,
 localtrace, verify.  Expression arguments use the grammar documented in the
 exprs module ('zb' spells the conjugate generator).  Exit status: 0 on
-success, 1 when a verification suite fails, 2 on usage or parse errors.
+success, 1 when a verification suite fails, 2 on usage or parse errors, 141
+when standard output is closed before the output is written.
 
-A cold call imports only what its subcommand runs: exprs, algebra and scalars
-here; every other engine module, and json, only where it is used.
+The command table _COMMANDS holds the grammar once: _read_argv reads a
+well-formed argv from it, and argparse builds its parser from it only for
+help and usage errors.  A cold call imports only what its subcommand runs:
+exprs, algebra and scalars here; every other engine module, and json, only
+where it is used.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
+from types import SimpleNamespace
 
 from . import SUITE_NAMES, exprs
 from .algebra import commutator, mul
 from .scalars import ExtractionError
 
+# An argument is (name, kind, arg, default, extra), in add_argument order.
+# kind is "positional", or for an option "choice" (arg: the choices), "int"
+# (arg: the minimum, or None for any integer), "str", "append" (default [])
+# or "flag" (store_true, default False).  extra holds argparse keywords: help,
+# metavar, required, and nargs="?" for a positional that may be left out.
+_FORMAT = ("--format", "choice", ("text", "json"), "text", {})
+_COMMON = (_FORMAT, ("--h2-zero", "flag", None, None, {"help": "substitute h2 = 0 in the output"}))
+_EXPR = ("expr", "positional", None, None, {})
+_PAIR = (("lhs", "positional", None, None, {}), ("rhs", "positional", None, None, {}))
+_N = ("--n", "int", 1, None, {"required": True})
+
+_COMMANDS = {
+    "nf": ("normal form of an expression", (_EXPR, *_COMMON)),
+    "mul": ("product of two expressions", (*_PAIR, *_COMMON)),
+    "comm": ("commutator of two expressions", (*_PAIR, *_COMMON)),
+    "star": ("star product of two invariant polynomials", (*_PAIR, *_COMMON)),
+    "trace": ("trace of an invariant polynomial", (_EXPR, *_COMMON)),
+    "certify": ("commutator certificate for an invariant monomial", (
+        ("expr", "positional", None, None, {"nargs": "?", "help": "monomial, e.g. 'z^2*zb^2'"}),
+        ("--check", "str", None, None, {"metavar": "FILE", "help": "replay a certificate JSON file instead"}),
+        _FORMAT,
+    )),
+    "hh0": ("certify all invariant monomials up to a degree", (("--degree", "int", 0, 8, {}), _FORMAT)),
+    "chphi": ("deformed character series coefficients", (("--order", "int", 0, 6, {}), *_COMMON)),
+    "index": ("degree-(n-1) index form in curvature symbols", (
+        _N,
+        ("--rt", "append", None, None,
+         {"metavar": "SYM", "help": "tangent eigenvalue-pair symbol (repeat n-1 times; '0' for none)"}),
+        ("--theta", "str", None, None, {"metavar": "SYM", "help": "central curvature symbol ('0' for none)"}),
+        ("--rn", "str", None, None, {"metavar": "SYM", "help": "normal curvature symbol ('0' for none)"}),
+        *_COMMON,
+    )),
+    "localtrace": ("fiberwise trace density in the local model", (_N, _EXPR, *_COMMON)),
+    "verify": ("run a named verification suite", (
+        ("--suite", "choice", SUITE_NAMES + ("all",), "all", {}),
+        ("--degree", "int", 0, 8, {}),
+        ("--order", "int", 0, 6, {}),
+        ("--seed", "int", None, 0, {}),
+        _FORMAT,
+    )),
+}
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than low, else a usage error."""
+    import argparse
 
     def parse(text: str) -> int:
         value = int(text)
@@ -32,79 +84,90 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of _COMMANDS: the one source of help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dunkl",
         description="Exact computations in the rank-one symplectic reflection algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        add_format(p)
-        p.add_argument(
-            "--h2-zero", action="store_true", help="substitute h2 = 0 in the output"
-        )
-
-    p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr")
-    add_common(p)
-
-    for name, help_text in (
-        ("mul", "product of two expressions"),
-        ("comm", "commutator of two expressions"),
-        ("star", "star product of two invariant polynomials"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("lhs")
-        p.add_argument("rhs")
-        add_common(p)
-
-    p = sub.add_parser("trace", help="trace of an invariant polynomial")
-    p.add_argument("expr")
-    add_common(p)
-
-    p = sub.add_parser("certify", help="commutator certificate for an invariant monomial")
-    p.add_argument("expr", nargs="?", help="monomial, e.g. 'z^2*zb^2'")
-    p.add_argument("--check", metavar="FILE", help="replay a certificate JSON file instead")
-    add_format(p)
-
-    p = sub.add_parser("hh0", help="certify all invariant monomials up to a degree")
-    p.add_argument("--degree", type=_int_at_least(0), default=8)
-    add_format(p)
-
-    p = sub.add_parser("chphi", help="deformed character series coefficients")
-    p.add_argument("--order", type=_int_at_least(0), default=6)
-    add_common(p)
-
-    p = sub.add_parser("index", help="degree-(n-1) index form in curvature symbols")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--rt", action="append", default=[], metavar="SYM",
-                   help="tangent eigenvalue-pair symbol (repeat n-1 times; '0' for none)")
-    p.add_argument("--theta", metavar="SYM", help="central curvature symbol ('0' for none)")
-    p.add_argument("--rn", metavar="SYM", help="normal curvature symbol ('0' for none)")
-    add_common(p)
-
-    p = sub.add_parser("localtrace", help="fiberwise trace density in the local model")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("expr")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--degree", type=_int_at_least(0), default=8)
-    p.add_argument("--order", type=_int_at_least(0), default=6)
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kind, arg, default, extra in arguments:
+            if kind == "choice":
+                p.add_argument(name, choices=arg, default=default, **extra)
+            elif kind == "int":
+                p.add_argument(name, type=int if arg is None else _int_at_least(arg), default=default, **extra)
+            elif kind == "append":
+                p.add_argument(name, action="append", default=[], **extra)
+            elif kind == "flag":
+                p.add_argument(name, action="store_true", **extra)
+            else:  # a positional or a free string
+                p.add_argument(name, **extra)
     return parser
 
 
-def _print_json(obj) -> None:
-    import json
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of _build_parser().parse_args(argv), read from _COMMANDS
+    without argparse, or None where argparse has to decide.  Prints nothing.
 
-    print(json.dumps(obj, indent=2))
+    None covers: no words; an unknown command; help; every other word that
+    starts with "-" and is not an option of the command spelled out in full
+    (abbreviations, --opt=value, --, negative numbers); an option without a
+    value, or with a value that starts with "-"; a value its choices, integer
+    or minimum refuses; a missing required option; a wrong number of
+    positionals.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    options, positionals, least = {}, [], 0
+    for spec in _COMMANDS[argv[0]][1]:
+        name, kind, _arg, default, extra = spec
+        if kind == "positional":
+            positionals.append(name)
+            least += "nargs" not in extra
+        else:
+            options[name] = spec
+        values[_dest(name)] = [] if kind == "append" else False if kind == "flag" else default
+    words = []
+    rest = iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            words.append(word)
+            continue
+        if word not in options:
+            return None
+        name, kind, arg, _default, _extra = options[word]
+        if kind == "flag":
+            values[_dest(name)] = True
+            continue
+        value = next(rest, "-")  # a missing value is refused like one starting with "-"
+        if value.startswith("-") or (kind == "choice" and value not in arg):
+            return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if arg is not None and value < arg:
+                return None
+        if kind == "append":
+            values[_dest(name)].append(value)
+        else:
+            values[_dest(name)] = value
+    if not least <= len(words) <= len(positionals):
+        return None
+    values.update(zip(positionals, words))
+    if any(extra.get("required") and values[_dest(name)] is None for name, *_, extra in options.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _print_json(obj) -> None:
+    print(exprs.json_text(obj))
 
 
 def _emit_value(args, value, to_json=None) -> None:
@@ -237,16 +300,22 @@ def _local_json(le) -> list:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args is None:
+            args = _build_parser().parse_args(argv)
+        code = _run_command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except SystemExit as exc:  # argparse printed help or a usage error
         return int(exc.code) if exc.code is not None else 2
-    try:
-        return _run_command(args)
     except (ValueError, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone: write the rest to devnull, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

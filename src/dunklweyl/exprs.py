@@ -459,3 +459,54 @@ def form_to_text(fp) -> str:
         else:
             parts.append(f"({scal})*{syms}")
     return " + ".join(parts) if parts else "0"
+
+
+# -- JSON -----------------------------------------------------------------
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2) for None, bools, ints, floats, strings, lists,
+    tuples and dicts with string keys, without importing json for them.
+
+    Only a string that needs an escape (anything but printable ASCII without
+    '"' and '\\') and a float go through json.dumps.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    # nested values go one level deeper; ints, the bulk of the canonical JSON,
+    # are written in place rather than through a call
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_string(k) + ": " + (int.__repr__(v) if type(v) is int else _json(v, inner))
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    import json
+
+    return json.dumps(obj)
+
+
+def _json_string(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+
+    return json.dumps(s)

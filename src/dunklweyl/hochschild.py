@@ -13,9 +13,9 @@ process can replay them with nothing but the parser and the star product.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
+from .exprs import json_text, parse_invariant, parse_scalar
 from .scalars import GaussianRational, ScalarPoly
 from .spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
 from .trace import class_scalar, phi, recursion_scalar
@@ -63,13 +63,11 @@ class Certificate(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json_text(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
         """Parse untrusted certificate JSON; a wrong shape raises ValueError."""
-        from .exprs import parse_invariant, parse_scalar
-
         witnesses = _json_field(data, "witnesses", list)
         return Certificate(
             target=parse_invariant(_json_field(data, "target", str)),
@@ -86,6 +84,8 @@ class Certificate(NamedTuple):
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
+        import json
+
         try:
             data = json.loads(text)
         except RecursionError:

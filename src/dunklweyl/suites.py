@@ -90,7 +90,7 @@ class Report(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return exprs.json_text(self.to_json_dict())
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite}: {self.passed}/{len(self.cases)} passed"]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklweyl import cli, exprs, hochschild, spherical, suites
 from dunklweyl.algebra import SrcElement
@@ -561,7 +565,8 @@ def test_benchmark_self_check_layers_reached(workload, statement):
     assert {name: calls.get(name, 0) for name in names if not calls.get(name)} == {}
 
 
-# One small call per subcommand, plus a usage error that argparse reports.
+# One small call per subcommand, a usage error, help, and two argvs that only
+# argparse reads: an abbreviated option and a negative-number positional.
 COLD_ARGVS = [
     ["nf", "zb^2*g*z^3"],
     ["mul", "z^2", "zb", "--format", "json"],
@@ -575,6 +580,9 @@ COLD_ARGVS = [
     ["localtrace", "--n", "2", "p1*q1*z*zb"],
     ["verify", "--suite", "relations", "--format", "json"],
     ["verify", "--suite", "nope"],
+    ["-h"],
+    ["nf", "--form", "json", "z"],
+    ["nf", "-1"],
 ]
 
 
@@ -583,10 +591,11 @@ def _without_wall(text: str) -> str:
 
 
 @pytest.mark.parametrize("argv", COLD_ARGVS, ids=[" ".join(a[:3]) for a in COLD_ARGVS])
-def test_cold_process_matches_in_process(capsys, argv):
+def test_cold_process_matches_in_process(capsys, monkeypatch, argv):
     """A fresh interpreter imports each engine module where its subcommand
     needs it; an import cycle or a missing branch import shows up here, not in
     the in-process tests, which import every module at collection."""
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at one width on both sides
     proc = subprocess.run(
         [sys.executable, "-m", "dunklweyl.cli", *argv],
         capture_output=True,
@@ -624,9 +633,10 @@ def test_cold_imports_follow_the_subcommand():
 
 
 def test_cold_calls_load_no_unused_stdlib_modules(tmp_path):
-    """A fresh interpreter running every subcommand, one after another, loads
-    json only once JSON is read or written, and never the rational, dataclass
-    or introspection modules: the engine is integers from parse to print."""
+    """A fresh interpreter running well-formed calls of every subcommand, one
+    after another, loads json only once JSON is read, and never argparse (with
+    its gettext and locale), nor the rational, dataclass or introspection
+    modules: the engine is integers from parse to print."""
     script = (
         "import contextlib, io, sys\n"
         "from dunklweyl import cli\n"
@@ -635,26 +645,45 @@ def test_cold_calls_load_no_unused_stdlib_modules(tmp_path):
         "    with contextlib.redirect_stdout(out):\n"
         "        assert cli.main(list(argv)) == 0, argv\n"
         "    return out.getvalue()\n"
-        "run('nf', 'zb^3*g*z^3')\n"
-        "assert 'json' not in sys.modules, 'json loaded by a text-format call'\n"
-        "run('nf', 'zb^3*g*z^3', '--format', 'json')\n"
+        "for fmt in ('text', 'json'):\n"
+        "    run('nf', 'zb^3*g*z^3', '--format', fmt, '--h2-zero')\n"
+        "    run('mul', 'z^2', 'zb', '--format', fmt)\n"
+        "    run('comm', 'z^2', 'zb', '--format', fmt)\n"
+        "    run('star', 'z^2', 'zb^2', '--format', fmt)\n"
+        "    run('trace', 'z*zb', '--format', fmt)\n"
+        "    run('hh0', '--degree', '2', '--format', fmt)\n"
+        "    run('chphi', '--format', fmt)\n"
+        "    run('index', '--n', '2', '--rt', 'R', '--theta', 'T', '--format', fmt)\n"
+        "    run('localtrace', '--n', '1', 'z*zb', '--format', fmt)\n"
         "with open(sys.argv[1], 'w') as fh:\n"
         "    fh.write(run('certify', 'z^2*zb^2'))\n"
-        "run('certify', '--check', sys.argv[1])\n"
-        "run('hh0', '--degree', '2')\n"
-        "run('star', 'z^2', 'zb^2')\n"
-        "run('trace', 'z*zb')\n"
-        "run('chphi')\n"
-        "run('index', '--n', '2', '--theta', 'T')\n"
-        "run('localtrace', '--n', '1', 'z*zb')\n"
-        "run('verify', '--suite', 'relations')\n"
-        "print(' '.join(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect') if m in sys.modules))\n"
+        "assert 'json' not in sys.modules, 'json loaded before any JSON was read'\n"
+        "run('certify', '--check', sys.argv[1], '--format', 'json')\n"
+        "run('verify', '--suite', 'relations', '--format', 'json')\n"
+        "unused = ('argparse', 'gettext', 'locale', 'fractions', 'decimal', 'dataclasses', 'inspect')\n"
+        "print(' '.join(m for m in unused if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "cert.json")], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that stops early (`dunkl ... | head -1`) gets SIGPIPE's exit
+    status and no traceback; exit 1 stays reserved for a failed check.  The
+    output is far larger than a pipe buffer, so the write meets the closed end."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dunklweyl.cli", "nf", "zb^60*z^60", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_cli_is_imported_once():
@@ -678,3 +707,141 @@ def test_suite_choices_follow_the_runner_table():
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
     assert tuple(suite.choices) == (*suites._SUITES, "all")
+
+
+# -- the argv reader against argparse ----------------------------------------
+
+_PARSER = cli._build_parser()
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _read_quietly(argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = cli._read_argv(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    return got
+
+
+# Every argv shape the benchmark's deep_nf and cli_mix requests use (copied,
+# not imported from bench/): all of them are read without argparse.
+BENCHMARK_ARGVS = [
+    ["nf", "zb^36*g*z^16", "--format", "json"],
+    ["nf", "zb^3*z^5", "--format", "text"],
+    ["nf", "zb^3*g*z^5", "--format", "json", "--h2-zero"],
+    ["nf", "(x*y)^2 - g*1/2", "--format", "text"],
+    ["mul", "z^2*zb", "zb^4", "--format", "json", "--h2-zero"],
+    ["comm", "1", "z^3", "--format", "text"],
+    ["star", "z^2*zb^2", "zb^2", "--format", "json"],
+    ["trace", "z^4*zb^4", "--format", "text"],
+    ["certify", "z^3*zb"],
+    ["certify", "--check", "/tmp/work/cert-0.json", "--format", "json"],
+    ["hh0", "--degree", "4", "--format", "text"],
+    ["chphi", "--order", "5", "--format", "json"],
+    ["index", "--n", "1", "--format", "text"],
+    ["index", "--n", "3", "--rt", "R1", "--rt", "0", "--theta", "T", "--rn", "N", "--format", "json"],
+    ["localtrace", "--n", "2", "p1^2*q1^0*z^1*zb^3", "--format", "text"],
+    ["localtrace", "--n", "1", "z^0*zb^2", "--format", "json"],
+    ["verify", "--suite", "degeneration", "--degree", "4", "--order", "3", "--format", "json"],
+    ["nf", "z*"],
+    ["mul", "z", "zb^"],
+    ["certify", "z*zb + z^2"],
+    ["localtrace", "--n", "1", "p2*z"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=[" ".join(a[:3]) for a in BENCHMARK_ARGVS])
+def test_benchmark_argvs_skip_argparse(argv):
+    got = _read_quietly(argv)
+    assert got is not None
+    assert vars(got) == _argparse_vars(argv)
+
+
+# What the reader leaves to argparse, though argparse accepts some of it.
+FALLBACK_ARGVS = [
+    [],
+    ["frobnicate"],
+    ["-h"],
+    ["nf", "z", "--help"],
+    ["nf", "--form", "json", "z"],
+    ["verify", "--s", "trace"],
+    ["nf", "--format=json", "z"],
+    ["nf", "--", "z"],
+    ["nf", "-1"],
+    ["nf", "z", "--format"],
+    ["verify", "--seed", "-3"],
+    ["nf", "z", "--format", "xml"],
+    ["hh0", "--degree", "two"],
+    ["hh0", "--degree", "-2"],
+    ["index", "--n", "0"],
+    ["index", "--rt", "R"],
+    ["localtrace", "z"],
+    ["mul", "z"],
+    ["nf", "z", "zb"],
+]
+
+
+@pytest.mark.parametrize("argv", FALLBACK_ARGVS, ids=[" ".join(a) or "empty" for a in FALLBACK_ARGVS])
+def test_reader_leaves_the_rest_to_argparse(argv):
+    assert _read_quietly(argv) is None
+
+
+_VALUES = ["text", "json", "xml", "all", "relations", "nope", "0", "1", "2", "9", "-1", "-3", "+2", " 4",
+           "1_0", "", "z", "zb^2*z", "z - zb", "-z + zb", "R1", "T", "cert.json"]
+_NOISE = ["--form", "--h", "--s", "--d", "--format=json", "--n=2", "-h", "--help", "--", "-", "-n", "--bogus"]
+
+
+def _good_value(kind: str, arg):
+    if kind == "choice":
+        return st.sampled_from(arg)
+    if kind == "int":
+        return st.integers(arg or 0, 30).map(str)
+    return st.sampled_from(["z", "zb^2*z", "z - zb", "R1", "T", "0", "cert.json", ""])
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A well-formed call, its options in any order, then up to three edits:
+    a word inserted from the noise or the values, a word dropped or replaced."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups = []
+    for name, kind, arg, _default, extra in cli._COMMANDS[command][1]:
+        if kind == "positional":
+            if "nargs" not in extra or draw(st.booleans()):
+                groups.append([draw(_good_value("str", None))])
+        elif extra.get("required") or draw(st.booleans()):
+            repeats = draw(st.integers(1, 2)) if kind == "append" else 1
+            for _ in range(repeats):
+                groups.append([name] if kind == "flag" else [name, draw(_good_value(kind, arg))])
+    groups = draw(st.permutations(groups))
+    argv = [command, *(w for group in groups for w in group)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        word = draw(st.sampled_from(_NOISE + _VALUES + ["--rt", "--seed", "--h2-zero", "--check", "bogus"]))
+        if edit == "insert":
+            argv.insert(at, word)
+        elif at < len(argv):
+            argv[at:at + 1] = [] if edit == "drop" else [word]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_reader_agrees_with_argparse(argv):
+    """The reader returns argparse's namespace or None, and None wherever
+    argparse exits; it never prints."""
+    want = _argparse_vars(argv)
+    got = _read_quietly(argv)
+    if want is None:
+        assert got is None
+    elif got is not None:
+        assert vars(got) == want

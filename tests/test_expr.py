@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from dunklweyl.exprs import (
     eval_element,
     eval_local,
     invariant_to_text,
+    json_text,
     parse,
     parse_element,
     parse_invariant,
@@ -264,6 +266,24 @@ class TestPrint:
     def test_invariant_printing(self):
         f = InvariantPoly.monomial(1, 1, ScalarPoly.h1())
         assert invariant_to_text(f) == "h1*z*zb"
+
+
+# Strings that need escapes: quotes, backslashes, control, DEL and non-ASCII.
+_json_strings = st.text(st.sampled_from('az 09"\\/\x00\n\x1f\x7f\xe9\u20ac\U0001f600'), max_size=6) | st.text(max_size=4)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | _json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    def test_matches_json_dumps_with_indent(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
 
 
 class TestRoundTrip:
