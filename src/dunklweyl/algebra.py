@@ -98,32 +98,25 @@ class SrcElement(TermMap):
 
     @staticmethod
     def one() -> "SrcElement":
-        return _units(1, (0, 0, 0))
+        return SrcElement.term((0, 0, 0))
 
     @staticmethod
     def scalar(c: ScalarPoly) -> "SrcElement":
         return SrcElement({(0, 0, 0): c})
 
     @staticmethod
-    def z(p: int = 1) -> "SrcElement":
-        return _units(1, (p, 0, 0))
-
-    @staticmethod
-    def zb(q: int = 1) -> "SrcElement":
-        return _units(1, (0, q, 0))
-
-    @staticmethod
-    def gamma() -> "SrcElement":
-        return _units(1, (0, 0, 1))
-
-    @staticmethod
     def monomial(p: int, q: int, eps: int = 0, coeff: ScalarPoly | None = None) -> "SrcElement":
         return SrcElement({(p, q, eps): coeff if coeff is not None else ScalarPoly.one()})
 
     @staticmethod
+    def term(key: TermKey, h1: int = 0, h2: int = 0, r: int = 1, s: int = 0, d: int = 1) -> "SrcElement":
+        """(r + s*i)/d * h1^h1 * h2^h2 * z^p zb^q g^eps of integers, d > 0, for a valid key."""
+        return _stored(SrcElement, {key: {(h1, h2): (r, s)}} if r or s else {}, d)
+
+    @staticmethod
     def x() -> "SrcElement":
         """x = (z + zb)/2."""
-        return _units(2, (1, 0, 0), (0, 1, 0))
+        return _stored(SrcElement, {(1, 0, 0): {(0, 0): (1, 0)}, (0, 1, 0): {(0, 0): (1, 0)}}, 2)
 
     @staticmethod
     def y() -> "SrcElement":
@@ -131,6 +124,13 @@ class SrcElement(TermMap):
         return _stored(SrcElement, {(1, 0, 0): {(0, 0): (0, -1)}, (0, 1, 0): {(0, 0): (0, 1)}}, 2)
 
     # -- queries and arithmetic ------------------------------------------
+
+    def constant(self) -> tuple[int, int, int, int, int] | None:
+        """(h1, h2, r, s, d) when self is the scalar (r + s*i)/d * h1^h1 * h2^h2, else None."""
+        if len(self._terms) == 1 and len(cells := self._terms.get((0, 0, 0), ())) == 1:
+            ((h1, h2), (r, s)), = cells.items()
+            return h1, h2, r, s, self._d
+        return None
 
     def gamma_free(self) -> bool:
         return all(eps == 0 for (_p, _q, eps) in self._terms)
@@ -143,11 +143,6 @@ class SrcElement(TermMap):
             {"z": p, "zb": q, "g": eps, "coeff": c.to_json()}
             for (p, q, eps), c in self.terms()
         ]
-
-
-def _units(d: int, *keys: TermKey) -> SrcElement:
-    """The sum of z^p zb^q g^eps over keys, divided by d."""
-    return _stored(SrcElement, {key: {(0, 0): (1, 0)} for key in keys}, d)
 
 
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:

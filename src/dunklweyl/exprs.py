@@ -17,6 +17,13 @@ exponents are allowed only on h1; generator powers must be non-negative.
 A leading '-' is only read as part of a rational literal, so canonical
 output spells -z as -1*z.
 
+Evaluation walks the tree once.  A sum merges its parts once; a product folds
+its central factors into one coefficient and its z, zb and g powers into one
+normal-order word z^p zb^q g^e, and multiplies in with algebra.mul only a
+factor that breaks that order (z after zb) or is compound (x, y, a
+parenthesised non-constant, or its power).  Numerals are at most
+NUMERAL_LIMIT digits long.
+
 Canonical printing flattens an element into one printed term per scalar
 monomial: coefficient, then h1/h2 powers, then generators, joined by '*',
 terms in lexicographic key order.  print and parse are mutually inverse on
@@ -36,6 +43,7 @@ if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
 
 EXP_LIMIT = 10**6
 NESTING_LIMIT = 100  # deepest parentheses read: deeper is a ParseError, not a RecursionError
+NUMERAL_LIMIT = 4300  # digits of a numerator or denominator, CPython's own limit on int(str)
 
 
 class ParseError(ValueError):
@@ -230,16 +238,20 @@ class _Parser:
         if self.peek().kind == "-":
             negative = True
             self.take()
-        tok = self.expect("num", "digits")
-        num = int(tok.text)
+        num = self.numeral(self.expect("num", "digits"))
         den = 1
         if self.peek().kind == "/":
             self.take()
             den_tok = self.expect("num", "digits")
-            den = int(den_tok.text)
+            den = self.numeral(den_tok)
             if den == 0:
                 raise ParseError(den_tok.pos, ("a nonzero denominator",), "0")
         return Num(-num if negative else num, den)
+
+    def numeral(self, tok: _Token) -> int:
+        if len(tok.text) > NUMERAL_LIMIT:
+            raise ParseError(tok.pos, (f"a numeral of at most {NUMERAL_LIMIT} digits",), f"{len(tok.text)} digits")
+        return int(tok.text)
 
 
 def parse(src: str) -> Node:
@@ -253,6 +265,7 @@ def parse(src: str) -> Node:
 # Atoms whose powers the atom table builds as one monomial; atom_fn gets the
 # exponent as its argument (negative only for h1, by the grammar).
 _POWER_ATOMS = {"z", "zb", "h1", "h2"}
+_PLAIN = (0, 0, 0, 1, 0, 1, 0, 0)  # (p, q, e, r, s, d, a, b) of _element's empty word, coefficient 1
 
 
 def _eval_generic(node: Node, atom_fn):
@@ -283,8 +296,8 @@ def _eval_generic(node: Node, atom_fn):
 
 
 def _element_atom(name: str, arg) -> SrcElement:
-    """The atom table of eval_element; the local model lifts it to the fiber.
-    arg is a number's Num or a generator's exponent."""
+    """The value of one atom, which eval_local lifts to the fiber; eval_element reads
+    only x, y, p and q here.  arg is a number's Num or a generator's exponent."""
     if name == "__num__":
         return SrcElement.scalar(ScalarPoly.monomial(gaussian(arg.num, 0, arg.den)))
     if name == "i":
@@ -294,11 +307,11 @@ def _element_atom(name: str, arg) -> SrcElement:
     if name == "h2":
         return SrcElement.scalar(ScalarPoly.h2(arg))
     if name == "g":
-        return SrcElement.gamma()
+        return SrcElement.term((0, 0, 1))
     if name == "z":
-        return SrcElement.z(arg)
+        return SrcElement.term((arg, 0, 0))
     if name == "zb":
-        return SrcElement.zb(arg)
+        return SrcElement.term((0, arg, 0))
     if name == "x":
         return SrcElement.x()
     if name == "y":
@@ -307,8 +320,56 @@ def _element_atom(name: str, arg) -> SrcElement:
 
 
 def eval_element(node: Node) -> SrcElement:
-    """Evaluate a tree to a normal-form algebra element."""
-    return _eval_generic(node, _element_atom)
+    """Evaluate a tree to a normal-form algebra element, in one walk."""
+    return _element(node)
+
+
+def _element(node: Node) -> SrcElement:
+    """eval_element by the module docstring's rules; the coefficient is (r + s*i)/d * h1^a * h2^b."""
+    if isinstance(node, Sum):
+        parts = [(sign, _element(part)) for sign, part in node.parts]
+        return parts[0][1].plus(parts[1:])
+    left = None  # the factors before the word, once one of them was not folded
+    p, q, e, r, s, d, a, b = _PLAIN
+    for factor in node.factors if isinstance(node, Prod) else (node,):
+        base, k = (factor.base, factor.exp) if isinstance(factor, Pow) else (factor, 1)
+        name = base.name if isinstance(base, Atom) else None
+        if isinstance(base, Num):
+            r, s, d = r * base.num**k, s * base.num**k, d * base.den**k
+        elif name == "i":
+            r, s = ((r, s), (-s, r), (-r, -s), (s, -r))[k % 4]
+        elif name == "h1":
+            a += k
+        elif name == "h2":
+            b += k
+        elif name == "g":
+            e ^= k % 2
+        elif name == "zb" or (name == "z" and not (q and k)):
+            if e and k % 2:  # g crosses z^k or zb^k
+                r, s = -r, -s
+            p, q = (p + k, q) if name == "z" else (p, q + k)
+        elif name == "z":  # z after zb starts the next word
+            word = SrcElement.term((p, q, e), a, b, r, s, d)
+            left = word if left is None else left * word
+            p, q, e, r, s, d, a, b = k, 0, 0, 1, 0, 1, 0, 0
+        else:
+            value = _element(base) if name is None else _element_atom(name, 1)
+            power = value if k else SrcElement.one()
+            for _ in range(k - 1):
+                power = power * value
+            if (const := power.constant()) is not None:
+                ca, cb, cr, cs, cd = const
+                r, s, d, a, b = r * cr - s * cs, r * cs + s * cr, d * cd, a + ca, b + cb
+                continue
+            if (p, q, e, r, s, d, a, b) != _PLAIN:
+                word = SrcElement.term((p, q, e), a, b, r, s, d)
+                left = word if left is None else left * word
+                p, q, e, r, s, d, a, b = _PLAIN
+            left = power if left is None else left * power
+    if left is not None and (p, q, e, r, s, d, a, b) == _PLAIN:
+        return left
+    word = SrcElement.term((p, q, e), a, b, r, s, d)
+    return word if left is None else left * word
 
 
 def eval_local(node: Node, n_pairs: int) -> LocalElement:

@@ -479,16 +479,20 @@ class TermMap:
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other):
-        d = lcm(self._d, other._d)
-        out: dict = {}
-        for x in (self, other):
-            m = d // x._d
-            for key, cells in x._terms.items():
-                _merge(out, key, cells, m)
-        return self._new(out, d)
+        return self.plus(((1, other),))
 
     def __sub__(self, other):
         return self + (-other)
+
+    def plus(self, parts):
+        """self plus sign * x for each (sign, x) in parts, merged once over the lcm of the denominators."""
+        parts = ((1, self), *parts)
+        d = lcm(*(x._d for _sign, x in parts))
+        out: dict = {}
+        for sign, x in parts:
+            for key, cells in x._terms.items():
+                _merge(out, key, cells, sign * (d // x._d))
+        return self._new(out, d)
 
     def __neg__(self):
         neg = {key: {hk: (-r, -s) for hk, (r, s) in cells.items()} for key, cells in self._terms.items()}

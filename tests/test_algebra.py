@@ -40,9 +40,16 @@ def h2_bounded_by_h1(a: SrcElement) -> bool:
     return all(b <= h for c in a.term_map().values() for (h, b) in c.term_map())
 
 
-Z = SrcElement.z
-ZB = SrcElement.zb
-G = SrcElement.gamma
+def Z(p: int = 1) -> SrcElement:
+    return SrcElement.monomial(p, 0)
+
+
+def ZB(q: int = 1) -> SrcElement:
+    return SrcElement.monomial(0, q)
+
+
+def G() -> SrcElement:
+    return SrcElement.monomial(0, 0, 1)
 
 
 # -- reference reordering ----------------------------------------------------
@@ -835,7 +842,7 @@ class TestKernelAgainstReference:
         assert got._d == 1 and got._terms == {}
 
     def test_zero_factor(self):
-        a = SrcElement.z(2) + SrcElement.gamma()
+        a = SrcElement.monomial(2, 0) + SrcElement.monomial(0, 0, 1)
         assert_same_product(mul(a, SrcElement()), SrcElement())
         assert_same_product(mul(SrcElement(), a), SrcElement())
 

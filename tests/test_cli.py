@@ -304,6 +304,37 @@ def test_non_ascii_string_in_a_certificate(capsys, tmp_path):
     assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", want)
 
 
+LIMIT = exprs.NUMERAL_LIMIT
+
+
+class TestNumeralLimit:
+    """A numerator or denominator longer than exprs.NUMERAL_LIMIT digits is a
+    parse error at the numeral that names the limit, exit 2."""
+
+    AT, OVER = "9" * LIMIT, "9" * (LIMIT + 1)
+
+    def refusal(self, pos: int) -> str:
+        return f"error: syntax error at position {pos}: expected a numeral of at most {LIMIT} digits, got {LIMIT + 1} digits\n"
+
+    def test_at_the_limit(self, capsys):
+        assert run_cli(capsys, "nf", self.AT) == (0, self.AT + "\n", "")
+        assert run_cli(capsys, "nf", f"1/{self.AT}*z") == (0, f"1/{self.AT}*z\n", "")
+
+    @pytest.mark.parametrize("src, pos", [(OVER, 0), (f"1/{OVER}*z", 2), (f"z - 3/{OVER}*zb", 6)],
+                             ids=["numerator", "denominator", "later-term"])
+    def test_above_the_limit(self, capsys, src, pos):
+        code, out, err = run_cli(capsys, "nf", src)
+        assert (code, out, err) == (2, "", self.refusal(pos))
+        assert "sys." not in err
+
+    def test_in_a_certificate(self, capsys, tmp_path):
+        data = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+        data["witnesses"][0]["coeff"] = self.OVER
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data))
+        assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", self.refusal(0))
+
+
 class TestCurvatureSymbols:
     """A curvature symbol of `index` is an ASCII letter followed by letters or
     digits and no atom of the grammar; '0' means none for every option."""

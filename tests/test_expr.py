@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -58,7 +59,7 @@ numeral_ints = st.one_of(st.integers(0, 12), st.integers(10**39, 10**40 - 1))
 class TestParse:
     def test_commutator_expression(self):
         e = parse_element("z*zb - zb*z")
-        assert e == commutator(SrcElement.z(), SrcElement.zb())
+        assert e == commutator(SrcElement.monomial(1, 0), SrcElement.monomial(0, 1))
 
     def test_negative_h1_power(self):
         e = parse_element("h1^-1 * (z^2*zb^2)")
@@ -106,7 +107,8 @@ class TestParse:
         src = "z"
         for _ in range(limit):
             src = f"(2*{src} - zb)^1"
-        assert parse_element(src) == SrcElement.z().scale(ScalarPoly.from_rational(2**limit)) - SrcElement.zb().scale(
+        z, zb = SrcElement.monomial(1, 0), SrcElement.monomial(0, 1)
+        assert parse_element(src) == z.scale(ScalarPoly.from_rational(2**limit)) - zb.scale(
             ScalarPoly.from_rational(2**limit - 1)
         )
         for depth in (limit + 1, 250, 100_000):
@@ -165,9 +167,12 @@ class TestEval:
     def test_gamma_square(self):
         assert parse_element("g*g") == SrcElement.one()
 
-    def test_base_vars_rejected_outside_local_model(self):
+    def test_base_vars_rejected_outside_local_model(self, capsys):
         with pytest.raises(EvalError):
             parse_element("p1*q1")
+        # a zero coefficient before the base variable does not skip the refusal
+        assert main(["nf", "0*p1"]) == 2
+        assert capsys.readouterr().err == "error: generator 'p1' needs the local model (use localtrace)\n"
 
     def test_eval_local(self):
         le = eval_local(parse("p1*q1*z*zb"), 1)
@@ -184,11 +189,12 @@ class TestEval:
 
 
 class TestPowerFastPath:
-    """Powers of z, zb, h1 and h2 are built as one monomial, not by repeated mul."""
+    """Powers of z, zb, g, i, h1 and h2, and products of them in normal order,
+    fold into one term, not by repeated mul."""
 
     ATOMS = {
-        "z": SrcElement.z(),
-        "zb": SrcElement.zb(),
+        "z": SrcElement.monomial(1, 0),
+        "zb": SrcElement.monomial(0, 1),
         "h1": SrcElement.scalar(ScalarPoly.h1()),
         "h2": SrcElement.scalar(ScalarPoly.h2()),
     }
@@ -224,7 +230,7 @@ class TestPowerFastPath:
             " + 1/3*i*h1^3*h2^2*p1^2*q1 + 2/3*i*h1^3*h2^3*p1^2*q1"
         )
 
-    def test_product_of_powers_makes_one_mul(self, monkeypatch):
+    def test_mul_only_for_factors_out_of_normal_order(self, monkeypatch):
         calls = []
 
         def counted(a, b):
@@ -232,9 +238,77 @@ class TestPowerFastPath:
             return mul(a, b)
 
         monkeypatch.setattr(algebra, "mul", counted)
-        assert parse_element("z^8*zb^8") == SrcElement.monomial(8, 8)
-        # both powers are monomials and the product starts from its first factor
+        text = element_to_text(random_element(random.Random(16)))
+        # a word in normal order, canonical text and powers of g and i fold into one term each
+        for src, want in [("z^8*zb^8", SrcElement.monomial(8, 8)), (text, parse_element(text)),
+                          ("g^1000000", SrcElement.one()), ("i^999999", parse_element("-1*i"))]:
+            calls.clear()
+            assert parse_element(src) == want
+            assert calls == [], src
+        # zb before z breaks normal order: one product of the two words
+        assert parse_element("zb^8*z^8") == mul(SrcElement.monomial(0, 8), SrcElement.monomial(8, 0))
         assert len(calls) == 1
+
+
+def folded(node) -> SrcElement:
+    """The left fold of mul over _element_atom values: what the product and sum
+    rules of eval_element must agree with."""
+    if isinstance(node, exprs.Sum):
+        out = SrcElement()
+        for sign, part in node.parts:
+            out = out + folded(part) if sign == 1 else out - folded(part)
+        return out
+    if isinstance(node, exprs.Prod):
+        return functools.reduce(mul, map(folded, node.factors))
+    if isinstance(node, exprs.Pow):
+        if node.exp < 0:
+            return exprs._element_atom("h1", node.exp)
+        return functools.reduce(mul, [folded(node.base)] * node.exp, SrcElement.one())
+    if isinstance(node, exprs.Num):
+        return exprs._element_atom("__num__", node)
+    return exprs._element_atom(node.name, 1)
+
+
+def _powers(bases, top):
+    return st.builds("{}^{}".format, st.sampled_from(bases), st.integers(0, top))
+
+
+# Factors of every kind the product rule meets: numerals (zero included) and
+# their powers, i^k, h1^-k, parenthesised constants, z, zb and g powers in any
+# order, and compound factors, a rare one outside the fiber algebra.
+PRODUCT_FACTORS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "3", "-3/2", "2/4", "i", "h1", "h2", "g", "z", "zb", "x", "y", "p1", "q2^0"]),
+    _powers(["i", "g", "(2/3)", "-2", "(0)", "(1+i)", "(2/3-4/3*i)", "(-1/2*i*h2)", "(h1^-1)"], 6),
+    st.builds("h1^-{}".format, st.integers(1, 3)),
+    _powers(["z", "zb", "h2", "(z+zb)", "(z-g)", "(h1+h2)", "(z*zb)", "x"], 2),
+)
+PRODUCTS = st.lists(PRODUCT_FACTORS, min_size=1, max_size=6).map("*".join)
+SUMS = st.builds(
+    lambda first, rest: first + "".join(f" {sign} {part}" for sign, part in rest),
+    PRODUCTS, st.lists(st.tuples(st.sampled_from("+-"), PRODUCTS), max_size=3),
+)
+
+
+def outcome(fn, src):
+    try:
+        return fn(src)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+class TestProductRule:
+    """eval_element folds products and merges sums; the value, and the error of a
+    factor outside the fiber algebra, are those of the left fold of mul."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SUMS)
+    @example("g*z")
+    @example("zb*z")
+    @example("z*g*zb")
+    @example("zb*g*z - 2*g*zb*i^2")
+    @example("0*p1 + q2^0")
+    def test_agrees_with_the_left_fold_of_mul(self, src):
+        assert outcome(parse_element, src) == outcome(lambda s: folded(parse(s)), src)
 
 
 class TestPrint:

@@ -55,7 +55,7 @@ class TestEmbed:
         with pytest.raises(ParityError):
             InvariantPoly.monomial(1, 0)
         with pytest.raises(ParityError):
-            InvariantPoly.from_element(SrcElement.z())
+            InvariantPoly.from_element(SrcElement.monomial(1, 0))
 
 
 class TestStar:
