@@ -43,7 +43,7 @@ _COMMANDS = {
     "certify": ("commutator certificate for an invariant monomial", (
         ("expr", "positional", None, None, {"nargs": "?", "help": "monomial, e.g. 'z^2*zb^2'"}),
         ("--check", "str", None, None, {"metavar": "FILE", "help": "replay a certificate JSON file instead"}),
-        _FORMAT,
+        (*_FORMAT[:4], {"help": "format of the --check verdict; a certificate always prints as JSON"}),
     )),
     "hh0": ("certify all invariant monomials up to a degree", (("--degree", "int", 0, 8, {}), _FORMAT)),
     "chphi": ("deformed character series coefficients", (("--order", "int", 0, 6, {}), *_COMMON)),
@@ -310,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed help or a usage error
         return int(exc.code) if exc.code is not None else 2
     except (ValueError, ExtractionError) as exc:
+        if "int_max_str_digits" in str(exc):  # CPython's refusal to print an int past NUMERAL_LIMIT digits
+            exc = f"the result has a numeral longer than exprs.NUMERAL_LIMIT ({exprs.NUMERAL_LIMIT} digits)"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

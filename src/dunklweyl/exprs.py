@@ -18,11 +18,11 @@ A leading '-' is only read as part of a rational literal, so canonical
 output spells -z as -1*z.
 
 Evaluation walks the tree once.  A sum merges its parts once; a product folds
-its central factors into one coefficient and its z, zb and g powers into one
-normal-order word z^p zb^q g^e, and multiplies in with algebra.mul only a
-factor that breaks that order (z after zb) or is compound (x, y, a
-parenthesised non-constant, or its power).  Numerals are at most
-NUMERAL_LIMIT digits long.
+its central factors into one coefficient (a constant's power is one
+Gaussian-integer power) and its z, zb and g powers into one normal-order
+word z^p zb^q g^e, and multiplies in with algebra.mul only a factor that
+breaks that order (z after zb) or is compound (x, y, a parenthesised
+non-constant, or its power).  Numerals are at most NUMERAL_LIMIT digits long.
 
 Canonical printing flattens an element into one printed term per scalar
 monomial: coefficient, then h1/h2 powers, then generators, joined by '*',
@@ -266,6 +266,7 @@ def parse(src: str) -> Node:
 # exponent as its argument (negative only for h1, by the grammar).
 _POWER_ATOMS = {"z", "zb", "h1", "h2"}
 _PLAIN = (0, 0, 0, 1, 0, 1, 0, 0)  # (p, q, e, r, s, d, a, b) of _element's empty word, coefficient 1
+_I = SrcElement.term((0, 0, 0), 0, 0, 0, 1)  # the value of i
 
 
 def _eval_generic(node: Node, atom_fn):
@@ -336,8 +337,6 @@ def _element(node: Node) -> SrcElement:
         name = base.name if isinstance(base, Atom) else None
         if isinstance(base, Num):
             r, s, d = r * base.num**k, s * base.num**k, d * base.den**k
-        elif name == "i":
-            r, s = ((r, s), (-s, r), (-r, -s), (s, -r))[k % 4]
         elif name == "h1":
             a += k
         elif name == "h2":
@@ -352,14 +351,21 @@ def _element(node: Node) -> SrcElement:
             word = SrcElement.term((p, q, e), a, b, r, s, d)
             left = word if left is None else left * word
             p, q, e, r, s, d, a, b = k, 0, 0, 1, 0, 1, 0, 0
-        else:
-            value = _element(base) if name is None else _element_atom(name, 1)
-            power = value if k else SrcElement.one()
-            for _ in range(k - 1):
-                power = power * value
-            if (const := power.constant()) is not None:
+        else:  # i, x, y, p, q or parenthesised
+            value = _I if name == "i" else _element(base) if name is None else _element_atom(name, 1)
+            if (const := value.constant()) is None:  # a repeated product, folded in if constant
+                power = value if k else SrcElement.one()
+                for _ in range(k - 1):
+                    power = power * value
+                const, k = power.constant(), 1
+            if const is not None:  # times (cr + cs*i)^k, by squaring from the top bit
                 ca, cb, cr, cs, cd = const
-                r, s, d, a, b = r * cr - s * cs, r * cs + s * cr, d * cd, a + ca, b + cb
+                pr, ps = 1, 0
+                for bit in f"{k:b}":
+                    pr, ps = pr * pr - ps * ps, 2 * pr * ps
+                    if bit == "1":
+                        pr, ps = pr * cr - ps * cs, pr * cs + ps * cr
+                r, s, d, a, b = r * pr - s * ps, r * ps + s * pr, d * cd**k, a + ca * k, b + cb * k
                 continue
             if (p, q, e, r, s, d, a, b) != _PLAIN:
                 word = SrcElement.term((p, q, e), a, b, r, s, d)

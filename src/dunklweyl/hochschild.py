@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exprs import json_text, parse_invariant, parse_scalar
+from .exprs import NUMERAL_LIMIT, json_text, parse_invariant, parse_scalar
 from .scalars import GaussianRational, ScalarPoly
 from .spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
 from .trace import class_scalar, phi, recursion_scalar
@@ -92,6 +92,9 @@ class Certificate(NamedTuple):
             raise ValueError("certificate JSON: nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate JSON: {exc}") from None
+        except ValueError:  # an integer past CPython's limit on reading one, which NUMERAL_LIMIT names
+            raise ValueError(
+                f"certificate JSON: a number longer than exprs.NUMERAL_LIMIT ({NUMERAL_LIMIT} digits)") from None
         return Certificate.from_json_dict(data)
 
 

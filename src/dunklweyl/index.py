@@ -25,7 +25,7 @@ from .algebra import SrcElement
 from .scalars import ScalarPoly, TermMap, TruncSeries, accumulate, gaussian, power_sum, series_exp
 from .scalars import series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
-from .trace import ch_phi, class_scalar
+from .trace import ch_phi, class_scalars
 
 SymKey = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
 
@@ -66,8 +66,10 @@ class FormPoly(TermMap):
         return (_sym_degree(key), key)
 
     def _new(self, terms: dict, d: int) -> "FormPoly":
-        out = TermMap._new(self, terms, d)
-        out.max_form_degree = self.max_form_degree
+        """A FormPoly of self's degree around terms / d, keys above that degree dropped."""
+        deg = self.max_form_degree
+        out = TermMap._new(self, {key: c for key, c in terms.items() if _sym_degree(key) <= deg}, d)
+        out.max_form_degree = deg
         return out
 
     # -- constructors -------------------------------------------------
@@ -87,15 +89,14 @@ class FormPoly(TermMap):
 
     # -- arithmetic ----------------------------------------------------
 
+    # a sum or product is known only up to the smaller truncation degree: built on that operand
     def __add__(self, other: "FormPoly") -> "FormPoly":
-        # a sum is known only up to the smaller truncation degree
-        deg = min(self.max_form_degree, other.max_form_degree)
-        total = TermMap.__add__(self, other).rekey(lambda key: None if _sym_degree(key) > deg else key)
-        return _truncated(total, deg)
+        low, high = sorted((self, other), key=lambda f: f.max_form_degree)
+        return TermMap.__add__(low, high)
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
-        deg = min(self.max_form_degree, other.max_form_degree)
-        return _truncated(self.product(other, lambda k1, k2: _product_key(k1, k2, deg)), deg)
+        low, high = sorted((self, other), key=lambda f: f.max_form_degree)
+        return low.product(high, lambda k1, k2: _product_key(k1, k2, low.max_form_degree))
 
     def __repr__(self) -> str:
         return f"FormPoly({self.to_text()}, max_form_degree={self.max_form_degree})"
@@ -105,12 +106,6 @@ class FormPoly(TermMap):
             {"syms": {n: e for n, e in key}, "coeff": c.to_json()}
             for key, c in self.terms()
         ]
-
-
-def _truncated(f: FormPoly, deg: int) -> FormPoly:
-    """f, just built with no key above degree deg, marked as truncated at deg."""
-    f.max_form_degree = deg
-    return f
 
 
 # -- generating functions ----------------------------------------------
@@ -292,11 +287,14 @@ def local_trace_density(F: LocalElement) -> LocalElement:
     coefficient of the base volume element.  A parity error names the first
     offending fiber part in canonical order.
     """
-    out: dict[LocalKey, ScalarPoly] = {}
+    diagonal = []
     for (base, p, q, _eps), c in fiber_fold(F).terms():
         if (p + q) % 2 != 0:
             raise ParityError(f"fiber part z^{p} zb^{q} is not invariant")
-        if p != q:
-            continue
-        accumulate(out, (base, 0, 0, 0), class_scalar(p) * c)
+        if p == q:
+            diagonal.append((base, p, c))
+    scalars = class_scalars(p for _base, p, _c in diagonal)
+    out: dict[LocalKey, ScalarPoly] = {}
+    for base, p, c in diagonal:
+        accumulate(out, (base, 0, 0, 0), scalars[p] * c)
     return LocalElement(out)

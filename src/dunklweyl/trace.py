@@ -41,48 +41,46 @@ def recursion_scalar(k: int) -> ScalarPoly:
     return ScalarPoly.monomial(GaussianRational.of(0, 1), 1, 0) * step_factor(k)
 
 
-# Prefix table of class_scalar, one row per k up to the largest k requested:
-# row k is (n, d) with prod_{l=1}^{k} step_factor(l) = sum_j n[j] * h2^j / d,
-# and gcd(n[0], n[1], ..., d) = 1.
-_CLASS_ROWS: list[tuple[tuple[int, ...], int]] = [((1,), 1)]
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), by k % 4
+
+
+def _rows():
+    """Row k of prod_{l=1}^{k} step_factor(l) for k = 0, 1, 2, ..., built when asked for:
+    (n, d) with the product = sum_j n[j] * h2^j / d and gcd(n[0], n[1], ..., d) = 1."""
+    nums, den = (1,), 1
+    while True:
+        yield nums, den
+        c0, c1, step_den = _step(len(nums))  # row k has k + 1 entries
+        new = [c0 * n + c1 * m for n, m in zip(nums + (0,), (0,) + nums)]
+        den *= step_den
+        g = gcd(den, *new)
+        nums, den = tuple(n // g for n in new), den // g
+
+
+def _row_scalar(k: int, nums: tuple[int, ...], den: int) -> ScalarPoly:
+    """(i*h1)^k * sum_j nums[j] * h2^j / den, one reduction per coefficient."""
+    re, im = _I_POWERS[k % 4]
+    return ScalarPoly.from_clean({(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(nums) if n})
+
+
+def class_scalars(ks) -> dict[int, ScalarPoly]:
+    """class_scalar(k) for each k >= 0 in ks, from one pass over the rows up to the largest."""
+    ks = set(ks)
+    return {k: _row_scalar(k, *row) for k, row in zip(range(max(ks, default=-1) + 1), _rows()) if k in ks}
 
 
 def class_scalar(k: int) -> ScalarPoly:
     """phi(z^k zb^k) = prod_{j=1}^{k} recursion_scalar(j)."""
-    return _class_over(k, 1)
-
-
-def _class_over(k: int, divisor: int) -> ScalarPoly:
-    """class_scalar(k) / divisor: (i*h1)^k times the row k of the prefix table,
-    extended as far as k first, over den * divisor with one reduction per
-    coefficient."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    while len(_CLASS_ROWS) <= k:
-        l = len(_CLASS_ROWS)
-        nums, den = _CLASS_ROWS[-1]
-        c0, c1, step_den = _step(l)
-        new = [c0 * n for n in nums] + [0]
-        for j, n in enumerate(nums):
-            new[j + 1] += c1 * n
-        den *= step_den
-        g = gcd(den, *new)
-        _CLASS_ROWS.append((tuple(n // g for n in new), den // g))
-    nums, den = _CLASS_ROWS[k]
-    den *= divisor
-    re, im = _I_POWERS[k % 4]
-    terms = {(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(nums) if n}
-    return ScalarPoly.from_clean(terms)
+    return class_scalars((k,))[k]
 
 
 def phi(f: InvariantPoly) -> ScalarPoly:
     """The normalized trace, linear over the scalar ring."""
-    out = ScalarPoly.zero()
-    for (p, q), c in f.terms():
-        if p == q:
-            out = out + class_scalar(p) * c
-    return out
+    diagonal = [(p, c) for (p, q), c in f.terms() if p == q]
+    scalars = class_scalars(p for p, _c in diagonal)
+    return sum((scalars[p] * c for p, c in diagonal), ScalarPoly.zero())
 
 
 def trace_defect(f: InvariantPoly, g: InvariantPoly) -> ScalarPoly:
@@ -99,6 +97,6 @@ def ch_phi(order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [_class_over(k, factorial(k)) for k in range(order + 1)]
+    coeffs = [_row_scalar(k, nums, den * factorial(k)) for k, (nums, den) in zip(range(order + 1), _rows())]
     return TruncSeries(coeffs, order)
 

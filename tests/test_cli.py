@@ -334,6 +334,25 @@ class TestNumeralLimit:
         cert_file.write_text(json.dumps(data))
         assert run_cli(capsys, "certify", "--check", str(cert_file)) == (2, "", self.refusal(0))
 
+    @pytest.mark.parametrize("digits", [LIMIT, LIMIT + 1])
+    def test_in_a_field_the_reader_ignores(self, capsys, tmp_path, digits):
+        # json reads the number before the reader sees the field
+        data = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data)[:-1] + f', "x": {"9" * digits}}}')
+        want = (0, "ok\n", "") if digits == LIMIT else (
+            2, "", f"error: certificate JSON: a number longer than exprs.NUMERAL_LIMIT ({LIMIT} digits)\n")
+        assert run_cli(capsys, "certify", "--check", str(cert_file)) == want
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_printed_result(self, capsys, fmt):
+        # 10^(LIMIT - 1) has LIMIT digits, 10^LIMIT one more: computed, then refused at print
+        code, out, err = run_cli(capsys, "nf", f"(10)^{LIMIT - 1}", "--format", fmt)
+        assert code == 0 and ("1" + "0" * (LIMIT - 1)) in out and err == ""
+        code, _out, err = run_cli(capsys, "nf", f"(10)^{LIMIT}", "--format", fmt)
+        assert (code, err) == (2, f"error: the result has a numeral longer than exprs.NUMERAL_LIMIT ({LIMIT} digits)\n")
+        assert "sys." not in err
+
 
 class TestCurvatureSymbols:
     """A curvature symbol of `index` is an ASCII letter followed by letters or

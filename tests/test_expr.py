@@ -240,8 +240,11 @@ class TestPowerFastPath:
         monkeypatch.setattr(algebra, "mul", counted)
         text = element_to_text(random_element(random.Random(16)))
         # a word in normal order, canonical text and powers of g and i fold into one term each
+        # and a parenthesised constant's power is one Gaussian-integer power
         for src, want in [("z^8*zb^8", SrcElement.monomial(8, 8)), (text, parse_element(text)),
-                          ("g^1000000", SrcElement.one()), ("i^999999", parse_element("-1*i"))]:
+                          ("g^1000000", SrcElement.one()), ("i^999999", parse_element("-1*i")),
+                          ("(1+i)^3000", parse_element(f"{2**1500}")),
+                          ("(2*h1)^3000", parse_element(f"{2**3000}*h1^3000"))]:
             calls.clear()
             assert parse_element(src) == want
             assert calls == [], src
@@ -278,7 +281,7 @@ def _powers(bases, top):
 # order, and compound factors, a rare one outside the fiber algebra.
 PRODUCT_FACTORS = st.one_of(
     st.sampled_from(["0", "1", "-1", "3", "-3/2", "2/4", "i", "h1", "h2", "g", "z", "zb", "x", "y", "p1", "q2^0"]),
-    _powers(["i", "g", "(2/3)", "-2", "(0)", "(1+i)", "(2/3-4/3*i)", "(-1/2*i*h2)", "(h1^-1)"], 6),
+    _powers(["i", "g", "(2/3)", "-2", "(0)", "(1+i)", "(2/3-4/3*i)", "(-1/2*i*h2)", "(h1^-1)", "(3/2*i*h1)"], 6),
     st.builds("h1^-{}".format, st.integers(1, 3)),
     _powers(["z", "zb", "h2", "(z+zb)", "(z-g)", "(h1+h2)", "(z*zb)", "x"], 2),
 )

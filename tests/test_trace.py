@@ -98,7 +98,6 @@ def ref_step(l: int) -> ScalarPoly:
 
 class TestIntegerClassScalars:
     def test_agrees_with_scalar_product(self):
-        trace._CLASS_ROWS[1:] = []
         want = ScalarPoly.one()
         for k in range(61):
             if k:
@@ -110,15 +109,30 @@ class TestIntegerClassScalars:
         series = ch_phi(60)
         assert series.coeffs[60] == want.scale(GaussianRational.of(Fraction(1, factorial(60))))
 
-    def test_prefix_table_bounded_by_largest_request(self):
-        trace._CLASS_ROWS[1:] = []
-        class_scalar(5)
-        assert len(trace._CLASS_ROWS) == 6
-        class_scalar(3)
-        ch_phi(4)
-        assert len(trace._CLASS_ROWS) == 6
-        class_scalar(9)
-        assert len(trace._CLASS_ROWS) == 10
+    def test_trace_module_keeps_no_table(self):
+        # memory follows the answer: after large requests no module-level
+        # container or cache of the trace layer holds more than a few entries
+        class_scalar(200)
+        phi(sum((M(k, k) for k in range(201)), InvariantPoly()))
+        ch_phi(60)
+        for name, value in vars(trace).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (list, dict, set, tuple)):
+                assert len(value) <= 4, name
+            if hasattr(value, "cache_info"):
+                assert value.cache_info().currsize <= 4, name
+
+    def test_phi_reads_the_rows_once(self, monkeypatch):
+        # one pass up to the largest diagonal degree: 60 steps, where a
+        # stream restarted for each of the 61 terms would take 1,830
+        f = sum((M(k, k) for k in range(61)), InvariantPoly())
+        want = sum((class_scalar(k) for k in range(61)), ScalarPoly.zero())
+        calls = []
+        step = trace._step
+        monkeypatch.setattr(trace, "_step", lambda l: calls.append(l) or step(l))
+        assert phi(f) == want
+        assert len(calls) <= 60
 
     def test_ch_phi_agrees_with_scaled_class_scalars(self):
         # ch_phi folds k! into the row denominator and reduces each coefficient
