@@ -6,8 +6,8 @@ sums.  The degree-(n-1) index form multiplies one inverse-sinh factor per
 tangent eigenvalue pair, the exponential of -theta/h1, and the deformed
 character genus of the normal symbol, then extracts the top component.  All
 three factors are truncated series (a_hat_factor, series_exp and the trace
-module's ch_phi) evaluated at a nilpotent form by eval_series_at_form, which
-is scalars.power_sum with FormPoly.one as the unit.
+module's ch_phi) evaluated at a nilpotent form by eval_series_at_form, the
+one loop that sums a series' coefficients times powers of a form.
 
 The local model is the Weyl algebra on n-1 base pairs (p_i, q_i) with
 [p_i, q_j] = h1*delta_ij tensored with the reflection algebra in the fiber
@@ -22,8 +22,7 @@ from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ScalarPoly, TermMap, TruncSeries, accumulate, gaussian, power_sum, series_exp
-from .scalars import series_inverse
+from .scalars import ScalarPoly, TermMap, TruncSeries, accumulate, gaussian, series_exp, series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
 from .trace import ch_phi, class_scalars
 
@@ -130,11 +129,18 @@ def a_hat_factor(order: int) -> TruncSeries:
 
 
 def eval_series_at_form(series: TruncSeries, s: FormPoly) -> FormPoly:
-    """Substitute a nilpotent form for the series variable (finite sum)."""
+    """Substitute a nilpotent form for the series variable: the finite sum of
+    series[k] * s^k over k up to half the form degree."""
     if not s.coefficient(()).is_zero():
         raise ValueError("form substituted into a series must have no degree-0 part")
     top = min(series.order, s.max_form_degree // 2)
-    return power_sum(series.coeffs[: top + 1], s, FormPoly.one(s.max_form_degree))
+    power = FormPoly.one(s.max_form_degree)
+    out = power.scale(series.coeffs[0])
+    for c in series.coeffs[1 : top + 1]:
+        power = power * s
+        if not c.is_zero():
+            out = out + power.scale(c)
+    return out
 
 
 def ch_exp(symbol: FormPoly, scale: ScalarPoly) -> FormPoly:

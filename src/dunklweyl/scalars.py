@@ -8,7 +8,7 @@ exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-from math import comb, factorial, gcd, lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:  # re and im import it when called, so no engine call loads it
@@ -355,6 +355,17 @@ class ScalarPoly:
         return [[a, b, *c.parts()] for (a, b), c in self.terms()]
 
 
+def dot(pairs: Iterable[tuple[ScalarPoly, ScalarPoly]]) -> ScalarPoly:
+    """sum a * b over the pairs, merged once into one dict: the one step of
+    every truncated-series operation.  A pair with a zero factor is skipped."""
+    out: dict = {}
+    for a, b in pairs:
+        if a._terms and b._terms:
+            for key, c in (a * b)._terms.items():
+                accumulate(out, key, c)
+    return ScalarPoly.from_clean(out)
+
+
 # One term's scalar in a term map: {(h1 exponent, h2 exponent): (r, s)},
 # numerators of (r + s*i)/d over the map's one denominator d.
 Cells = dict[tuple[int, int], tuple[int, int]]
@@ -608,16 +619,10 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        """Coefficient m of the product is sum_{j <= m} self[j] * other[m-j]."""
         n = min(self.order, other.order)
-        out = [ScalarPoly.zero() for _ in range(n + 1)]
-        for j, cj in enumerate(self.coeffs[: n + 1]):
-            if cj.is_zero():
-                continue
-            for k in range(n + 1 - j):
-                ck = other.coeffs[k]
-                if not ck.is_zero():
-                    out[j + k] = out[j + k] + cj * ck
-        return TruncSeries(out, n)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries([dot((a[j], b[m - j]) for j in range(m + 1)) for m in range(n + 1)], n)
 
     def scale(self, c: ScalarPoly) -> "TruncSeries":
         return TruncSeries([c * a for a in self.coeffs], self.order)
@@ -627,61 +632,47 @@ class TruncSeries:
         return TruncSeries([c.pow(k) * a for k, a in enumerate(self.coeffs)], self.order)
 
 
-def power_sum(coeffs: list, u, one):
-    """sum_k coeffs[k] * u^k: the one loop that evaluates a series at u.
-
-    u and one (its unit) lie in a ring with `+`, `*` and `scale` by a
-    ScalarPoly, here TruncSeries or FormPoly; coeffs must not be empty.
-    """
-    out = one.scale(coeffs[0])
-    power = one
-    for c in coeffs[1:]:
-        power = power * u
-        if not c.is_zero():
-            out = out + power.scale(c)
-    return out
-
-
-def _rational_power_sum(ratios: Iterable[tuple[int, int]], u: TruncSeries) -> TruncSeries:
-    """power_sum with the rational coefficients n/d of the pairs (n, d)."""
-    coeffs = [ScalarPoly.monomial(gaussian(n, 0, d)) for n, d in ratios]
-    return power_sum(coeffs, u, TruncSeries.one(u.order))
-
-
 def series_exp(s: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term, by summing s^k / k!."""
+    """exp of a series with zero constant term, from E' = s'E:
+    n*E[n] = sum_{1 <= k <= n} k*s[k] * E[n-k]."""
     if not s.coeffs[0].is_zero():
         raise SeriesDomainError("series_exp needs a zero constant term")
-    return _rational_power_sum(((1, factorial(k)) for k in range(s.order + 1)), s)
+    ds = [c.scale(gaussian(k, 0, 1)) for k, c in enumerate(s.coeffs)]
+    out = [ScalarPoly.one()]
+    for n in range(1, s.order + 1):
+        out.append(dot((ds[k], out[n - k]) for k in range(1, n + 1)).scale(gaussian(1, 0, n)))
+    return TruncSeries(out, s.order)
 
 
 def series_log(s: TruncSeries) -> TruncSeries:
-    """log of a series with constant term 1 (the exp oracle's inverse)."""
+    """log of a series with constant term 1, from s*L' = s':
+    n*L[n] = n*s[n] - sum_{1 <= k < n} k*L[k] * s[n-k]."""
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_log needs constant term 1")
-    ratios = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, s.order + 1)]
-    return _rational_power_sum(ratios, s - TruncSeries.one(s.order))
+    c = s.coeffs
+    dl = [ScalarPoly.zero()]  # dl[k] = k*L[k]
+    for n in range(1, s.order + 1):
+        dl.append(c[n].scale(gaussian(n, 0, 1)) - dot((dl[k], c[n - k]) for k in range(1, n)))
+    return TruncSeries([d.scale(gaussian(1, 0, max(n, 1))) for n, d in enumerate(dl)], s.order)
 
 
 def series_sqrt(s: TruncSeries) -> TruncSeries:
-    """Square root of a series with constant term 1, via the binomial series."""
+    """Square root of a series with constant term 1, from R^2 = s and R[0] = 1:
+    2*R[n] = s[n] - sum_{0 < k < n} R[k] * R[n-k]."""
     if not s.coeffs[0].is_one():
         raise SeriesDomainError("series_sqrt needs constant term 1")
-    # binomial(1/2, k) = (-1)^(k+1) * C(2k, k) / (4^k * (2k - 1))
-    ratios = (
-        ((-1) ** (k + 1) * comb(2 * k, k), 4**k * (2 * k - 1))
-        for k in range(s.order + 1)
-    )
-    return _rational_power_sum(ratios, s - TruncSeries.one(s.order))
+    out = [ScalarPoly.one()]
+    for n in range(1, s.order + 1):
+        out.append((s.coeffs[n] - dot((out[k], out[n - k]) for k in range(1, n))).scale(gaussian(1, 0, 2)))
+    return TruncSeries(out, s.order)
 
 
 def series_inverse(s: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse; the constant term must be an invertible monomial."""
-    c0 = s.coeffs[0].invert_monomial()
+    """Multiplicative inverse; c0 = s[0] must be an invertible monomial:
+    out[n] = -c0^-1 * sum_{1 <= k <= n} s[k] * out[n-k]."""
+    c = s.coeffs
+    c0 = c[0].invert_monomial()
     out = [c0]
     for n in range(1, s.order + 1):
-        acc = ScalarPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + s.coeffs[k] * out[n - k]
-        out.append(-(c0 * acc))
+        out.append(-(c0 * dot((c[k], out[n - k]) for k in range(1, n + 1))))
     return TruncSeries(out, s.order)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import factorial, gcd
 
-from .scalars import GaussianRational, ScalarPoly, TruncSeries, gaussian
+from .scalars import GaussianRational, ScalarPoly, TruncSeries, dot, gaussian
 from .spherical import InvariantPoly, star_commutator
 
 
@@ -80,7 +80,7 @@ def phi(f: InvariantPoly) -> ScalarPoly:
     """The normalized trace, linear over the scalar ring."""
     diagonal = [(p, c) for (p, q), c in f.terms() if p == q]
     scalars = class_scalars(p for p, _c in diagonal)
-    return sum((scalars[p] * c for p, c in diagonal), ScalarPoly.zero())
+    return dot((scalars[p], c) for p, c in diagonal)
 
 
 def trace_defect(f: InvariantPoly, g: InvariantPoly) -> ScalarPoly:

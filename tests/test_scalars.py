@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dunklweyl.scalars import (
@@ -19,7 +19,7 @@ from dunklweyl.scalars import (
     series_log,
     series_sqrt,
 )
-from tests.conftest import scalar_from_json, scalar_polys
+from tests.conftest import gaussian_rationals, scalar_from_json, scalar_polys
 
 
 def sp(re, h1=0, h2=0, im=0):
@@ -189,9 +189,9 @@ class TestScalarPoly:
 
 
 # -- reference series ---------------------------------------------------------
-# The per-function loops the engine used before the shared power sum: each
-# builds successive powers of its argument itself.  They share no code with
-# scalars.power_sum.
+# Power sums: each reference builds successive powers of its argument and sums
+# them with the Taylor coefficients of its function.  The engine instead builds
+# each output coefficient from the ones before it, by a recurrence.
 
 
 def ref_series_exp(s: TruncSeries) -> TruncSeries:
@@ -229,6 +229,29 @@ def ref_series_sqrt(s: TruncSeries) -> TruncSeries:
     return result
 
 
+def ref_series_inverse(s: TruncSeries) -> TruncSeries:
+    """s = c0*(1 + u) with c0 = s[0], so s^-1 = c0^-1 * sum_k (-u)^k."""
+    c0_inv = s.coeffs[0].invert_monomial()
+    minus_u = TruncSeries.one(s.order) - s.scale(c0_inv)
+    result = TruncSeries([], s.order)
+    power = TruncSeries.one(s.order)
+    for _ in range(s.order + 1):
+        result = result + power
+        power = power * minus_u
+    return result.scale(c0_inv)
+
+
+@st.composite
+def invertible_series(draw, max_order=8):
+    """A series c0 + c_1 x + ... + c_n x^n whose c0 = c*h1^a is an invertible
+    monomial other than 1."""
+    c0 = ScalarPoly.monomial(draw(gaussian_rationals()), draw(st.integers(-2, 2)))
+    assume(not c0.is_zero() and not c0.is_one())
+    order = draw(st.integers(0, max_order))
+    tail = draw(st.lists(scalar_polys(), min_size=order, max_size=order))
+    return TruncSeries([c0, *tail], order)
+
+
 @st.composite
 def unit_series(draw, max_order=8):
     """A series 1 + c_1 x + ... + c_n x^n with n <= max_order."""
@@ -253,6 +276,46 @@ class TestSeriesAgainstReference:
     @given(unit_series())
     def test_sqrt(self, s):
         assert series_sqrt(s) == ref_series_sqrt(s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(invertible_series())
+    def test_inverse(self, s):
+        assert series_inverse(s) == ref_series_inverse(s)
+
+
+# A dense series of order 16: every coefficient nonzero, so no pair is skipped.
+DENSE = TruncSeries([ScalarPoly.one()] + [sp(k + 2, h2=k % 2) for k in range(16)], 16)
+DENSE_ZERO_CONST = TruncSeries([ScalarPoly.zero(), *DENSE.coeffs[1:]], 16)
+
+
+@pytest.mark.parametrize(
+    "op, bound, exact",
+    [
+        (lambda: series_exp(DENSE_ZERO_CONST), 136, False),  # n(n+1)/2
+        (lambda: series_log(DENSE), 120, False),  # n(n-1)/2
+        (lambda: series_sqrt(DENSE), 120, False),
+        (lambda: DENSE * DENSE, 153, True),
+        (lambda: series_inverse(DENSE), 152, True),
+    ],
+    ids=["exp", "log", "sqrt", "mul", "inverse"],
+)
+def test_series_take_one_pass(monkeypatch, op, bound, exact):
+    """Each output coefficient is one dot over the coefficients before it,
+    so a series operation at order 16 makes O(n^2) ScalarPoly products; a
+    power sum of whole series makes 985."""
+    calls = []
+    mul = ScalarPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counted)
+    op()
+    if exact:
+        assert len(calls) == bound
+    else:
+        assert len(calls) <= bound
 
 
 class TestSeries:
