@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Alternating pairs of benchmark runs between two checkouts.
 
-    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seconds 30] [--seed B]
+    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed B]
 
 PARENT_DIR and CHANGE_DIR are checkouts, for example made by
 `git archive <commit> | tar -x -C DIR`.  Pair i runs `bench/run.py` in both
-at seed B+i; the parent runs first in even pairs, the change in odd ones.
-Every run's end-to-end metrics are printed, then, for each end-to-end metric
-of CHANGE_DIR/BENCHMARK.json: both medians, the parent's quartiles, the pairs
-the change won by the metric's `better`, and whether the change's median is
-worse than the parent's by more than the metric's relative bound.  The exit
-status is 1 when a run is not correct or has failures, else 0.  Stdlib only.
+at seed B+i for the `run_seconds` of CHANGE_DIR/BENCHMARK.json; the parent
+runs first in even pairs, the change in odd ones.  Every run's end-to-end
+metrics are printed, then, for each end-to-end metric of that file: both
+medians, the parent's quartiles, the pairs the change won by the metric's
+`better`, and a verdict on the change's median against the metric's relative
+bound: `unresolved` when the parent's own quartile spread is wider than the
+bound allows, else `WORSE than` or `within`.  The exit status is 1 when a run
+is not correct or has failures, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    return lines[-1] if lines else json.dumps({"correct": False, "error": proc.stderr[-300:]})
+    try:
+        json.loads(lines[-1])
+        return lines[-1]
+    except (IndexError, ValueError):
+        return json.dumps({"correct": False, "error": proc.stderr[-300:]})
 
 
 def _quartiles(xs: list[float]) -> tuple[float, float]:
@@ -62,8 +68,13 @@ def summary(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[list[
         mp = statistics.median(p for p, _c in vals)
         mc = statistics.median(c for _p, c in vals)
         q1, q3 = _quartiles(sorted(p for p, _c in vals))
-        worse = sign * (mp - mc) > spec["bound"] * abs(mp)
-        verdict = "WORSE than" if worse else "within"
+        allowed = spec["bound"] * abs(mp)
+        if q3 - q1 > allowed:
+            verdict = "unresolved at"
+        elif sign * (mp - mc) > allowed:
+            verdict = "WORSE than"
+        else:
+            verdict = "within"
         out.append(f"{name}: parent median {mp:.6g} (quartiles {q1:.6g}..{q3:.6g}), change median {mc:.6g}, "
                    f"change better in {wins}/{len(vals)} pairs, {verdict} bound {spec['bound']}")
     return out, status
@@ -75,17 +86,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        lines = {side: run(getattr(args, side), args.workload, seed, args.seconds) for side in order}
+        lines = {side: run(getattr(args, side), args.workload, seed, spec["run_seconds"]) for side in order}
         print(f"pair {i} seed {seed}: {' then '.join(order)} done", file=sys.stderr, flush=True)
         pairs.append((lines["parent"], lines["change"]))
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     lines, status = summary(pairs, spec["end_to_end"])
     print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print("\n".join(lines))

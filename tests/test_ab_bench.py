@@ -48,3 +48,17 @@ def test_a_run_that_is_not_correct_or_failed_exits_1():
     out, status = ab_bench.summary([(line(1, 1), json.dumps({"correct": False}))], END_TO_END)
     assert status == 1
     assert out[-1] == "latency_p50_ms: no pair has it"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    pairs = [(line(100, 10), line(100, 10)), (line(60, 10), line(60, 10)), (line(140, 10), line(140, 10))]
+    ops = ab_bench.summary(pairs, END_TO_END)[0][-2]
+    assert ops.endswith("change better in 0/3 pairs, unresolved at bound 0.25")
+
+
+def test_a_last_line_that_is_not_json_is_a_failed_run(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("print('{\"correct\": true}')\nprint('Traceback')\n")
+    out, status = ab_bench.summary([(line(1, 1), ab_bench.run(tmp_path, "w", 1, 1))], END_TO_END)
+    assert status == 1
+    assert out[1] == "pair 0 change: correct=False failed=None"
