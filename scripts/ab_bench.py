@@ -11,8 +11,11 @@ metrics are printed, then, for each end-to-end metric of that file: both
 medians, the parent's quartiles, the pairs the change won by the metric's
 `better`, and a verdict on the change's median against the metric's relative
 bound: `unresolved` when the parent's own quartile spread is wider than the
-bound allows, else `WORSE than` or `within`.  The exit status is 1 when a run
-is not correct or has failures, else 0.  Stdlib only.
+bound allows, else `WORSE than` or `within`.  A last line per metric gives the
+gain verdict by the claim rule: a gain is met when the change wins at least
+nine tenths of the pairs (ties count for neither) and its median beats the
+parent's by more than the parent's quartile spread.  The exit status is 1 when
+a run is not correct or has failures, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -46,9 +49,29 @@ def _quartiles(xs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def _compare(runs: list[tuple[dict, dict]], spec: dict) -> tuple | None:
+    """(pairs, change wins, parent median, change median, parent quartiles,
+    how much the change's median is better) for one metric over the pairs
+    that have it, or None."""
+    name = spec["name"]
+    vals = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+            for p, c in runs if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+    if not vals:
+        return None
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in vals)
+    mp = statistics.median(p for p, _c in vals)
+    mc = statistics.median(c for _p, c in vals)
+    return len(vals), wins, mp, mc, _quartiles(sorted(p for p, _c in vals)), sign * (mc - mp)
+
+
+def _runs(pairs: list[tuple[str, str]]) -> list[tuple[dict, dict]]:
+    return [tuple(json.loads(line) for line in pair) for pair in pairs]
+
+
 def summary(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[list[str], int]:
     """Report lines and exit status for (parent, change) pairs of result lines."""
-    runs = [tuple(json.loads(line) for line in pair) for pair in pairs]
+    runs = _runs(pairs)
     out, status = [], 0
     for i, pair in enumerate(runs):
         for side, r in zip(SIDES, pair):
@@ -58,26 +81,36 @@ def summary(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[list[
                 status = 1
     for spec in end_to_end:
         name = spec["name"]
-        vals = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                for p, c in runs if name in p.get("metrics", {}) and name in c.get("metrics", {})]
-        if not vals:
+        compared = _compare(runs, spec)
+        if compared is None:
             out.append(f"{name}: no pair has it")
             continue
-        sign = 1 if spec["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in vals)
-        mp = statistics.median(p for p, _c in vals)
-        mc = statistics.median(c for _p, c in vals)
-        q1, q3 = _quartiles(sorted(p for p, _c in vals))
+        n, wins, mp, mc, (q1, q3), gap = compared
         allowed = spec["bound"] * abs(mp)
         if q3 - q1 > allowed:
             verdict = "unresolved at"
-        elif sign * (mp - mc) > allowed:
+        elif -gap > allowed:
             verdict = "WORSE than"
         else:
             verdict = "within"
         out.append(f"{name}: parent median {mp:.6g} (quartiles {q1:.6g}..{q3:.6g}), change median {mc:.6g}, "
-                   f"change better in {wins}/{len(vals)} pairs, {verdict} bound {spec['bound']}")
+                   f"change better in {wins}/{n} pairs, {verdict} bound {spec['bound']}")
     return out, status
+
+
+def gains(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[str]:
+    """One gain verdict per end-to-end metric, by the claim rule."""
+    runs = _runs(pairs)
+    out = []
+    for spec in end_to_end:
+        compared = _compare(runs, spec)
+        if compared is None:
+            continue
+        n, wins, _mp, _mc, (q1, q3), gap = compared
+        met = wins * 10 >= 9 * n and gap > q3 - q1
+        out.append(f"{spec['name']} gain: {'met' if met else 'not met'} (won {wins}/{n} pairs, "
+                   f"median gap {gap:.6g} against parent quartile spread {q3 - q1:.6g})")
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs.append((lines["parent"], lines["change"]))
     lines, status = summary(pairs, spec["end_to_end"])
     print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
-    print("\n".join(lines))
+    print("\n".join(lines + gains(pairs, spec["end_to_end"])))
     return status
 
 

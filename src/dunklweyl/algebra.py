@@ -9,9 +9,9 @@ Every element has a unique normal form as a finite sum c * z^p * zb^q * g^eps.
 An element stores its coefficients as integer pairs over one denominator.
 Multiplication reorders each zb^q * z^p by the Dunkl-operator action of zb on
 powers of z.  _reorder returns that normal form as integer tables, behind a
-bounded cache keyed by (q, p); mul spreads one scalar product per term pair
-over the table into one integer accumulator and divides out its content once
-at the end.
+bounded cache keyed by (q, p) that keeps only small tables; mul spreads one
+scalar product per term pair over the table into one integer accumulator and
+divides out its content once at the end.
 """
 
 from __future__ import annotations
@@ -24,11 +24,20 @@ TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
 # Keys (q, p) cached by _reorder; the suite battery touches about 200, all <= 14.
 REORDER_CACHE_SIZE = 512
+# The largest m = min(q, p), the number of Dunkl moves, whose table _reorder keeps:
+# at most 2*(m+1) entries of m+1 h2 powers, enough for the deep_nf ladder (m <= 36).
+REORDER_CACHE_MAX_MOVES = 36
 _MINUS_I_SIGNS = (1, -1, -1, 1)  # (-i)^k = i^(k % 2) * sign, by k % 4
 
 
-@lru_cache(maxsize=REORDER_CACHE_SIZE)
 def _reorder(q: int, p: int) -> tuple[tuple, ...]:
+    """_reorder_table(q, p), kept in the cache when min(q, p) <= REORDER_CACHE_MAX_MOVES."""
+    if min(q, p) > REORDER_CACHE_MAX_MOVES:
+        return _reorder_table(q, p)
+    return _cached_table(q, p)
+
+
+def _reorder_table(q: int, p: int) -> tuple[tuple, ...]:
     """Normal form of the word zb^q z^p as integer tables.
 
     Starts from z^p and left-multiplies by zb q times.  On z^a zb^b g^e, zb
@@ -70,6 +79,12 @@ def _reorder(q: int, p: int) -> tuple[tuple, ...]:
             if row:
                 out.append((p - k, q - k, e, k, row))
     return tuple(out)
+
+
+_cached_table = lru_cache(maxsize=REORDER_CACHE_SIZE)(_reorder_table)
+_reorder.cache_info = _cached_table.cache_info
+_reorder.cache_clear = _cached_table.cache_clear
+_reorder.cache_parameters = _cached_table.cache_parameters
 
 
 class SrcElement(TermMap):

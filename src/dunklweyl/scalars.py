@@ -306,14 +306,6 @@ class ScalarPoly:
                 accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
         return ScalarPoly.from_clean(out)
 
-    def pow(self, n: int) -> "ScalarPoly":
-        if n < 0:
-            return self.invert_monomial().pow(-n)
-        out = ScalarPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def invert_monomial(self) -> "ScalarPoly":
         """Inverse of a single-term scalar c*h1^a; anything else is rejected.
 
@@ -628,8 +620,11 @@ class TruncSeries:
         return TruncSeries([c * a for a in self.coeffs], self.order)
 
     def scale_argument(self, c: ScalarPoly) -> "TruncSeries":
-        """Substitute x -> c*x, i.e. multiply coeffs[k] by c^k."""
-        return TruncSeries([c.pow(k) * a for k, a in enumerate(self.coeffs)], self.order)
+        """Substitute x -> c*x, i.e. multiply coeffs[k] by c^k (a running power)."""
+        powers = [ScalarPoly.one()]
+        for _ in self.coeffs[1:]:
+            powers.append(powers[-1] * c)
+        return TruncSeries([c_k * a for c_k, a in zip(powers, self.coeffs)], self.order)
 
 
 def series_exp(s: TruncSeries) -> TruncSeries:

@@ -137,13 +137,13 @@ def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
     transport (z before zb), so the h2 -> 0 degeneration is exact.
     """
     acc: dict[PairKey, ScalarPoly] = {}
-    minus_ih1 = ScalarPoly.monomial(GaussianRational.of(0, -1), 1, 0)
     for (p1, q1), c1 in f.term_map().items():
         for (p2, q2), c2 in g.term_map().items():
             base = c1 * c2
             for k in range(min(q1, p2) + 1):
-                count = gaussian(perm(q1, k) * perm(p2, k), 0, factorial(k))
-                weight = minus_ih1.pow(k).scale(count)
+                n = perm(q1, k) * perm(p2, k)
+                re, im = ((n, 0), (0, -n), (-n, 0), (0, n))[k % 4]  # n * (-i)^k
+                weight = ScalarPoly.monomial(gaussian(re, im, factorial(k)), k, 0)
                 accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
     return InvariantPoly(acc)
 

@@ -1,10 +1,11 @@
 """Named verification suites with machine-readable reports.
 
-Each suite builds a list of cases; a case compares an engine computation
+Each suite is a generator of cases; a case compares an engine computation
 against an expected canonical form (from the bundled data files where the
 expected value is a concrete constant, structurally otherwise).  run_suite
-builds the case lists of every requested suite, then runs the cases one after
-another; a case that raises is a failed case.  Reports list the cases in
+checks every requested suite's configuration before any case runs; cases are
+built as they run, so a run holds one case's inputs plus the finished Case
+records.  A case that raises is a failed case.  Reports list the cases in
 sorted case-id order, so identical configurations produce identical reports.
 """
 
@@ -14,7 +15,7 @@ import json
 import random
 import time
 from importlib import resources
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import SUITE_NAMES, exprs
 from .algebra import SrcElement, commutator, mul
@@ -104,7 +105,7 @@ class Report(NamedTuple):
 
 
 Thunk = Callable[[], tuple[bool, str, str]]
-Work = list[tuple[str, Thunk]]
+Work = Iterator[tuple[str, Thunk]]
 
 
 def _load_data(name: str) -> dict:
@@ -123,7 +124,6 @@ def _eq_case(expected, actual) -> tuple[bool, str, str]:
 def suite_relations(cfg: RunConfig) -> Work:
     """Defining relations and the commutator identities, from the data file."""
     data = _load_data("relations.json")
-    work: Work = []
     for case in data["cases"]:
         cid, kind, args, expected = case["id"], case["op"], case["args"], case["expected"]
 
@@ -139,8 +139,7 @@ def suite_relations(cfg: RunConfig) -> Work:
                 raise ValueError(f"unknown op {kind}")
             return _eq_case(expected, exprs.element_to_text(result))
 
-        work.append((cid, thunk))
-    return work
+        yield cid, thunk
 
 
 def _pairs_total_degree(limit: int) -> Iterable[tuple[InvariantPoly, InvariantPoly]]:
@@ -151,23 +150,18 @@ def _pairs_total_degree(limit: int) -> Iterable[tuple[InvariantPoly, InvariantPo
 
 def suite_trace(cfg: RunConfig) -> Work:
     """phi vanishes on star commutators: all pairs of total degree <= degree."""
-    work = []
     for m1, m2 in _pairs_total_degree(cfg.degree):
         cid = f"tracedefect[{m1.to_text()};{m2.to_text()}]"
 
         def thunk(m1=m1, m2=m2):
             return _eq_case("0", trace_defect(m1, m2).to_text())
 
-        work.append((cid, thunk))
-    return work
+        yield cid, thunk
 
 
 def suite_hh0(cfg: RunConfig) -> Work:
     """Certificates replay exactly and their scalars equal phi."""
-    degree = cfg.degree if cfg.degree % 2 == 0 else cfg.degree - 1
-    check_report_degree(degree)
-    work = []
-    for m in invariant_monomials(degree):
+    for m in invariant_monomials(cfg.degree):
         ((p, q), _c), = m.terms()
         cid = f"hh0[z^{p}*zb^{q}]"
 
@@ -177,14 +171,12 @@ def suite_hh0(cfg: RunConfig) -> Work:
                 return False, "replay ok", "replay failed"
             return _eq_case(entry.phi, entry.scalar)
 
-        work.append((cid, thunk))
-    return work
+        yield cid, thunk
 
 
 def suite_degeneration(cfg: RunConfig) -> Work:
     """star at h2=0 equals the closed-form product, each factor <= degree."""
     monos = invariant_monomials(cfg.degree)
-    work = []
     for m1 in monos:
         for m2 in monos:
             cid = f"degen[{m1.to_text()};{m2.to_text()}]"
@@ -194,15 +186,13 @@ def suite_degeneration(cfg: RunConfig) -> Work:
                 rhs = moyal_star(m1, m2)
                 return _eq_case(rhs.to_text(), lhs.to_text())
 
-            work.append((cid, thunk))
-    return work
+            yield cid, thunk
 
 
 def suite_euler(cfg: RunConfig) -> Work:
     """Rotation weights: [m, z*zb] under star is i*h1*(p-q)*m, and matches
     the closed-form derivation."""
     zzb = InvariantPoly.zzbar()
-    work = []
     for m in invariant_monomials(cfg.degree):
         ((p, q), _c), = m.terms()
         cid = f"euler[z^{p}*zb^{q}]"
@@ -214,20 +204,15 @@ def suite_euler(cfg: RunConfig) -> Work:
                 return False, want.to_text(), euler_derivation(m).to_text()
             return _eq_case(want.to_text(), got.to_text())
 
-        work.append((cid, thunk))
-    return work
+        yield cid, thunk
 
 
 def suite_chphi(cfg: RunConfig) -> Work:
     """Character series coefficients against the data file and against phi of
     the plain powers of z*zb (the termwise-exponential oracle)."""
     data = _load_data("chphi.json")
-    top = max(int(k) for k in data["coefficients"])
-    if cfg.order > top:
-        raise ValueError(f"chphi order capped at {top}, the largest k in its data file")
     series = ch_phi(cfg.order)
     zzb = InvariantPoly.zzbar()
-    work = []
     fact = 1
     for k in range(cfg.order + 1):
         if k:
@@ -243,9 +228,8 @@ def suite_chphi(cfg: RunConfig) -> Work:
             oracle = phi(zzb.poly_pow(k)).scale(gaussian(1, 0, fact))
             return _eq_case(oracle.to_text(), series.coeffs[k].to_text())
 
-        work.append((cid_a, thunk_a))
-        work.append((cid_b, thunk_b))
-    return work
+        yield cid_a, thunk_a
+        yield cid_b, thunk_b
 
 
 def _random_scalar(rng: random.Random, allow_negative_h1: bool = False) -> ScalarPoly:
@@ -282,7 +266,6 @@ def suite_series(cfg: RunConfig) -> Work:
     """Series layer: frozen inverse-sinh coefficients plus property oracles."""
     data = _load_data("series.json")
     order = 8
-    work: Work = []
     quot = inv_sinh_quotient(order)
     for k_str, expected in sorted(data["inv_sinh_quotient"].items(), key=lambda kv: int(kv[0])):
         k = int(k_str)
@@ -290,7 +273,7 @@ def suite_series(cfg: RunConfig) -> Work:
         def thunk(k=k, expected=expected):
             return _eq_case(expected, quot.coeffs[k].to_text())
 
-        work.append((f"series-invsinh[x^{k}]", thunk))
+        yield f"series-invsinh[x^{k}]", thunk
 
     rng = random.Random(cfg.seed)
     for trial in range(6):
@@ -311,17 +294,15 @@ def suite_series(cfg: RunConfig) -> Work:
                 s * series_inverse(s) == TruncSeries.one(order)
             ), "s * inverse(s) == 1", "mismatch"
 
-        work.append((f"series-sqrt[{trial}]", sqrt_thunk))
-        work.append((f"series-explog[{trial}]", exp_log_thunk))
-        work.append((f"series-inverse[{trial}]", inv_thunk))
-    return work
+        yield f"series-sqrt[{trial}]", sqrt_thunk
+        yield f"series-explog[{trial}]", exp_log_thunk
+        yield f"series-inverse[{trial}]", inv_thunk
 
 
 def suite_roundtrip(cfg: RunConfig) -> Work:
     """Parser round-trip on random engine elements plus algebra property
     checks (associativity and the Jacobi identity) on random triples."""
     rng = random.Random(cfg.seed)
-    work: Work = []
     for trial in range(500):
         e = _random_element(rng)
 
@@ -330,7 +311,7 @@ def suite_roundtrip(cfg: RunConfig) -> Work:
             back = exprs.parse_element(text)
             return (back == e), text, exprs.element_to_text(back)
 
-        work.append((f"roundtrip[{trial:03d}]", thunk))
+        yield f"roundtrip[{trial:03d}]", thunk
     for trial in range(200):
         a = _random_element(rng, 8)
         b = _random_element(rng, 8)
@@ -339,7 +320,7 @@ def suite_roundtrip(cfg: RunConfig) -> Work:
         def assoc_thunk(a=a, b=b, c=c):
             return (mul(mul(a, b), c) == mul(a, mul(b, c))), "(a*b)*c == a*(b*c)", "mismatch"
 
-        work.append((f"assoc[{trial:03d}]", assoc_thunk))
+        yield f"assoc[{trial:03d}]", assoc_thunk
     for trial in range(20):
         a = _random_element(rng, 4)
         b = _random_element(rng, 4)
@@ -353,8 +334,7 @@ def suite_roundtrip(cfg: RunConfig) -> Work:
             )
             return total.is_zero(), "0", exprs.element_to_text(total)
 
-        work.append((f"jacobi[{trial:02d}]", jacobi_thunk))
-    return work
+        yield f"jacobi[{trial:02d}]", jacobi_thunk
 
 
 # The runner table, in the order of the CLI's --suite choices.
@@ -371,22 +351,31 @@ def _run_case(case_id: str, thunk: Thunk) -> Case:
     return Case(id=case_id, ok=ok, expected=expected, actual=actual)
 
 
+def _check_config(names: list[str], cfg: RunConfig) -> None:
+    """Refuse a configuration that one of the named suites cannot run: hh0
+    above its degree cap, chphi beyond the largest k in its data file."""
+    if "hh0" in names:
+        check_report_degree(cfg.degree - cfg.degree % 2)
+    if "chphi" in names:
+        top = max(int(k) for k in _load_data("chphi.json")["coefficients"])
+        if cfg.order > top:
+            raise ValueError(f"chphi order capped at {top}, the largest k in its data file")
+
+
 def run_suite(name: str, cfg: RunConfig) -> Report:
     """Run one named suite, or every suite when name is 'all'.
 
-    Every case list is built before any case runs, so a suite that refuses
-    its configuration (the hh0 degree cap, the chphi order cap) stops the run
-    before work starts.
+    Every requested suite's configuration is checked before any case runs, so
+    a refusal (the hh0 degree cap, the chphi order cap) stops the run before
+    work starts; cases are built as they run.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    names = list(_SUITES) if name == "all" else [name]
+    _check_config(names, cfg)
     start = time.perf_counter()
-    if name == "all":
-        work = [
-            (f"{sub}:{cid}", thunk) for sub, build in _SUITES.items() for cid, thunk in build(cfg)
-        ]
-    else:
-        work = _SUITES[name](cfg)
+    work = ((f"{sub}:{cid}" if name == "all" else cid, thunk)
+            for sub in names for cid, thunk in _SUITES[sub](cfg))
     cases = sorted((_run_case(cid, thunk) for cid, thunk in work), key=lambda c: c.id)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return Report(suite=name, cases=cases, wall_ms=wall_ms, config=cfg)

@@ -62,3 +62,22 @@ def test_a_last_line_that_is_not_json_is_a_failed_run(tmp_path):
     out, status = ab_bench.summary([(line(1, 1), ab_bench.run(tmp_path, "w", 1, 1))], END_TO_END)
     assert status == 1
     assert out[1] == "pair 0 change: correct=False failed=None"
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parent_spread():
+    # the change is faster in 9 of 10 pairs, its median 20 above the parent's
+    # (quartiles 99.25..100.75); latency is better in only 8 of 10
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    change = [120] * 9 + [90]
+    p50 = [5] * 8 + [20, 20]
+    pairs = [(line(p, 10), line(c, q)) for p, c, q in zip(parent, change, p50)]
+    ops, lat = ab_bench.gains(pairs, END_TO_END)
+    assert ops == "ops_per_s gain: met (won 9/10 pairs, median gap 20 against parent quartile spread 1.5)"
+    assert lat == "latency_p50_ms gain: not met (won 8/10 pairs, median gap 5 against parent quartile spread 0)"
+
+
+def test_no_gain_when_the_gap_is_within_the_parent_spread():
+    # won every pair, but by less than the parent's own quartile spread
+    pairs = [(line(p, 10), line(p + 1, 10)) for p in (90, 95, 100, 105, 110)]
+    ops = ab_bench.gains(pairs, END_TO_END)[0]
+    assert ops == "ops_per_s gain: not met (won 5/5 pairs, median gap 1 against parent quartile spread 10)"

@@ -1033,3 +1033,12 @@ class TestReorder:
                 algebra._reorder(q, p)
         assert algebra._reorder.cache_info().currsize <= maxsize
         assert isinstance(algebra._reorder(3, 4), tuple)
+
+    def test_large_tables_are_built_but_not_kept(self):
+        algebra._reorder.cache_clear()
+        # the deep_nf ladder's largest table stays cached
+        algebra._reorder(36, 36)
+        assert algebra._reorder.cache_info().currsize == 1
+        table = algebra._reorder(300, 300)
+        assert algebra._reorder.cache_info().currsize == 1
+        assert table[-1][:4] == (0, 0, 1, 300)  # built in full: 300 Dunkl moves reach z^0 zb^0

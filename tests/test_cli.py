@@ -3,12 +3,14 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,25 @@ class TestErrors:
             code, out, err = run_cli(capsys, "verify", "--suite", suite, "--order", "9")
             assert code == 2 and out == "" and "error:" in err, suite
         assert ran == []
+
+    def test_cases_are_built_as_they_run(self, monkeypatch):
+        # a roundtrip case holds its random inputs in its thunk's defaults;
+        # count the thunks alive when the first case runs (720 if all are built first)
+        class FirstCaseRan(Exception):
+            pass
+
+        def first(case_id, thunk):
+            gc.collect()
+            raise FirstCaseRan(sum(
+                isinstance(o, types.FunctionType) and o.__qualname__.startswith("suite_roundtrip.")
+                for o in gc.get_objects()
+            ))
+
+        monkeypatch.setattr(suites, "_run_case", first)
+        for name in ("roundtrip", "all"):
+            with pytest.raises(FirstCaseRan) as ran:
+                run_suite(name, RunConfig())
+            assert ran.value.args[0] <= 1, name
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dunklweyl.index import a_hat_factor
 from dunklweyl.scalars import (
     GaussianRational,
     NonInvertibleError,
@@ -296,13 +297,17 @@ DENSE_ZERO_CONST = TruncSeries([ScalarPoly.zero(), *DENSE.coeffs[1:]], 16)
         (lambda: series_sqrt(DENSE), 120, False),
         (lambda: DENSE * DENSE, 153, True),
         (lambda: series_inverse(DENSE), 152, True),
+        # inv_sinh_quotient(16) makes 52, then 17 coefficients times a running
+        # power of h1 (16 steps); rebuilding each h1^k makes 205 in all
+        (lambda: a_hat_factor(16), 52 + 17 + 16, True),
     ],
-    ids=["exp", "log", "sqrt", "mul", "inverse"],
+    ids=["exp", "log", "sqrt", "mul", "inverse", "scale_argument"],
 )
 def test_series_take_one_pass(monkeypatch, op, bound, exact):
-    """Each output coefficient is one dot over the coefficients before it,
-    so a series operation at order 16 makes O(n^2) ScalarPoly products; a
-    power sum of whole series makes 985."""
+    """Each output coefficient is one dot over the coefficients before it, and
+    substituting c*x keeps a running power of c, so a series operation at
+    order 16 makes O(n^2) ScalarPoly products; a power sum of whole series
+    makes 985."""
     calls = []
     mul = ScalarPoly.__mul__
 
