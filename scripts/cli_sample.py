@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL = re.compile(rb'("wall_ms": |\n  wall )[0-9.e+-]+')
@@ -83,6 +84,16 @@ def certificates(work: Path, run) -> list[str]:
     return [*files, "not-utf8.json", "missing.json"]
 
 
+def fingerprints(work: Path, run) -> Iterator[str]:
+    """The sample's lines, each call made by run(args) -> (exit code, stdout, stderr) in work."""
+    checks = [["certify", "--check", name, *fmt] for name in certificates(work, run) for fmt in FORMATS]
+    for args in [call + fmt for call in CALLS for fmt in FORMATS] + ERRORS + checks:
+        code, out, err = run(args)
+        digests = (hashlib.sha256(WALL.sub(rb"\1*", data)).hexdigest() for data in (out, err))
+        text = shlex.join(args)
+        yield " ".join((text if len(text) <= 100 else f"{text[:60]}... ({len(text)} chars)", str(code), *digests))
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]).resolve() if argv else ROOT / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -94,12 +105,8 @@ def main(argv: list[str]) -> int:
                                   capture_output=True)
             return done.returncode, done.stdout, done.stderr
 
-        checks = [["certify", "--check", name, *fmt] for name in certificates(work, run) for fmt in FORMATS]
-        for args in [call + fmt for call in CALLS for fmt in FORMATS] + ERRORS + checks:
-            code, out, err = run(args)
-            digests = (hashlib.sha256(WALL.sub(rb"\1*", data)).hexdigest() for data in (out, err))
-            text = shlex.join(args)
-            print(text if len(text) <= 100 else f"{text[:60]}... ({len(text)} chars)", code, *digests)
+        for line in fingerprints(work, run):
+            print(line)
     return 0
 
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the full verification battery at acceptance-grade parameters.
 
-This is the heavyweight counterpart of `dunkl verify --suite all`: the trace
-and certificate suites run at degree 12, the rotation-weight suite at degree
-10, and the degeneration suite at degree 8, printing one summary line per
-suite.  Exit status 0 only if everything passes.
+This is the heavyweight counterpart of `dunkl verify --suite all`: each suite
+runs at its parameters in `suites.ACCEPTANCE` (the trace and certificate suites
+at degree 12, the rotation-weight suite at degree 10, the degeneration suite at
+degree 8), printing one summary line per suite.  Exit status 0 only if
+everything passes.
 """
 
 from __future__ import annotations
@@ -14,23 +15,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dunklweyl.suites import RunConfig, run_suite
-
-PARAMS = {
-    "relations": RunConfig(degree=8),
-    "trace": RunConfig(degree=12),
-    "hh0": RunConfig(degree=12),
-    "degeneration": RunConfig(degree=8),
-    "euler": RunConfig(degree=10),
-    "chphi": RunConfig(order=6),
-    "series": RunConfig(order=8),
-    "roundtrip": RunConfig(degree=8),
-}
+from dunklweyl.suites import ACCEPTANCE, run_suite
 
 
 def main() -> int:
     failures = 0
-    for name, cfg in PARAMS.items():
+    for name, cfg in ACCEPTANCE.items():
         report = run_suite(name, cfg)
         status = "PASS" if report.ok else "FAIL"
         print(

@@ -310,8 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse printed help or a usage error
         return int(exc.code) if exc.code is not None else 2
     except (ValueError, ExtractionError) as exc:
-        if "int_max_str_digits" in str(exc):  # CPython's refusal to print an int past NUMERAL_LIMIT digits
-            exc = f"the result has a numeral longer than exprs.NUMERAL_LIMIT ({exprs.NUMERAL_LIMIT} digits)"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

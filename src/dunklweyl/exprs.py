@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
 EXP_LIMIT = 10**6
 NESTING_LIMIT = 100  # deepest parentheses read: deeper is a ParseError, not a RecursionError
 NUMERAL_LIMIT = 4300  # digits of a numerator or denominator, CPython's own limit on int(str)
+_NUMERAL_BOUND = 10**NUMERAL_LIMIT  # the least integer past NUMERAL_LIMIT digits
 
 
 class ParseError(ValueError):
@@ -422,8 +423,15 @@ def check_symbol(name: str) -> str:
 # -- canonical printing ---------------------------------------------------
 
 
+def _numeral(n: int) -> str:
+    """str(n), refused past NUMERAL_LIMIT digits whatever CPython's own limit on printing an int is."""
+    if abs(n) < _NUMERAL_BOUND:
+        return int.__repr__(n)
+    raise ValueError(f"the result has a numeral longer than exprs.NUMERAL_LIMIT ({NUMERAL_LIMIT} digits)")
+
+
 def _rat_str(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _numeral(n) if d == 1 else f"{_numeral(n)}/{_numeral(d)}"
 
 
 def _coeff_parts(c: GaussianRational) -> tuple[bool, list[str]]:
@@ -536,7 +544,7 @@ def json_text(obj) -> str:
     tuples and dicts with string keys, without importing json for them.
 
     Only a string that needs an escape (anything but printable ASCII without
-    '"' and '\\') and a float go through json.dumps.
+    '"' and '\\') and a float go through json.dumps; an int past NUMERAL_LIMIT digits is refused.
     """
     return _json(obj, "\n")
 
@@ -551,19 +559,19 @@ def _json(obj, newline: str) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _numeral(obj)
     # nested values go one level deeper; ints, the bulk of the canonical JSON,
-    # are written in place rather than through a call
+    # go straight to _numeral rather than through _json
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in obj]
+        items = [_numeral(v) if type(v) is int else _json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [_json_string(k) + ": " + (int.__repr__(v) if type(v) is int else _json(v, inner))
+        items = [_json_string(k) + ": " + (_numeral(v) if type(v) is int else _json(v, inner))
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     import json

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .exprs import NUMERAL_LIMIT, json_text, parse_invariant, parse_scalar
 from .scalars import GaussianRational, ScalarPoly
 from .spherical import InvariantPoly, ParityError, invariant_monomials, star_commutator
-from .trace import class_scalar, phi, recursion_scalar
+from .trace import _products, _row_scalar, phi
 
 MAX_REPORT_DEGREE = 24
 
@@ -110,20 +110,19 @@ def reduce_certificate(p: int, q: int) -> Certificate:
         return Certificate(target=target, scalar=ScalarPoly.zero(), witnesses=(witness,))
     # Diagonal: peel z^j zb^j down to z^(j-1) zb^(j-1) via
     #   z^j zb^j - c_j z^(j-1) zb^(j-1) = [z^2, z^(j-1) zb^(j+1)] / (2 i h1 (j+1))
-    witnesses = []
-    tail = ScalarPoly.one()  # product of c_l for l > j
-    for j in range(p, 0, -1):
-        divisor = ScalarPoly.monomial(GaussianRational.of(0, 2 * (j + 1)), 1, 0)
-        coeff = tail * divisor.invert_monomial()
-        witnesses.append(
-            Witness(
-                coeff=coeff,
-                left=InvariantPoly.monomial(2, 0),
-                right=InvariantPoly.monomial(j - 1, j + 1),
-            )
+    # with c_j = recursion_scalar(j).  Step j's coefficient is the product of c_l
+    # for l > j, (i h1)^(p-j) times the stream's product before factor j, divided
+    # by 2 i h1 (j+1); the product after the last factor makes the scalar phi(m).
+    products = _products(range(p, 0, -1))
+    witnesses = tuple(
+        Witness(
+            coeff=_row_scalar(p - j - 1, poly, num, 2 * (j + 1) * den),
+            left=InvariantPoly.monomial(2, 0),
+            right=InvariantPoly.monomial(j - 1, j + 1),
         )
-        tail = tail * recursion_scalar(j)
-    return Certificate(target=target, scalar=class_scalar(p), witnesses=tuple(witnesses))
+        for j, (poly, num, den) in zip(range(p, 0, -1), products)  # stops before the last product
+    )
+    return Certificate(target=target, scalar=_row_scalar(p, *next(products)), witnesses=witnesses)
 
 
 def check_certificate(cert: Certificate) -> bool:

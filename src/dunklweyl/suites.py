@@ -21,23 +21,8 @@ from . import SUITE_NAMES, exprs
 from .algebra import SrcElement, commutator, mul
 from .hochschild import certify_monomial, check_report_degree
 from .index import inv_sinh_quotient
-from .scalars import (
-    ScalarPoly,
-    TruncSeries,
-    gaussian,
-    series_exp,
-    series_inverse,
-    series_log,
-    series_sqrt,
-)
-from .spherical import (
-    InvariantPoly,
-    euler_derivation,
-    invariant_monomials,
-    moyal_star,
-    star,
-    star_commutator,
-)
+from .scalars import ScalarPoly, TruncSeries, gaussian, series_exp, series_inverse, series_log, series_sqrt
+from .spherical import InvariantPoly, euler_derivation, invariant_monomials, moyal_star, star, star_commutator
 from .trace import ch_phi, phi, trace_defect
 
 class RunConfig(NamedTuple):
@@ -51,6 +36,14 @@ class RunConfig(NamedTuple):
     degree: int = 8
     order: int = 6
     seed: int = 0
+
+
+# The acceptance battery, suite by suite: what scripts/run_verify.py and tests/test_acceptance.py run.
+ACCEPTANCE = {
+    "relations": RunConfig(degree=8), "trace": RunConfig(degree=12), "hh0": RunConfig(degree=12),
+    "degeneration": RunConfig(degree=8), "euler": RunConfig(degree=10), "chphi": RunConfig(order=6),
+    "series": RunConfig(order=8), "roundtrip": RunConfig(degree=8),
+}
 
 
 class Case(NamedTuple):
@@ -256,10 +249,7 @@ def _random_element(rng: random.Random, max_degree: int = 8) -> SrcElement:
 
 
 def _random_unit_series(rng: random.Random, order: int) -> TruncSeries:
-    coeffs = [ScalarPoly.one()]
-    for _ in range(order):
-        coeffs.append(_random_scalar(rng))
-    return TruncSeries(coeffs, order)
+    return TruncSeries([ScalarPoly.one()] + [_random_scalar(rng) for _ in range(order)], order)
 
 
 def suite_series(cfg: RunConfig) -> Work:
@@ -278,9 +268,7 @@ def suite_series(cfg: RunConfig) -> Work:
     rng = random.Random(cfg.seed)
     for trial in range(6):
         s_unit = _random_unit_series(rng, order)
-        zero_const = TruncSeries(
-            [ScalarPoly.zero()] + list(s_unit.coeffs[1:]), order
-        )
+        zero_const = TruncSeries([ScalarPoly.zero()] + list(s_unit.coeffs[1:]), order)
 
         def sqrt_thunk(s=s_unit):
             r = series_sqrt(s)
@@ -290,9 +278,7 @@ def suite_series(cfg: RunConfig) -> Work:
             return (series_log(series_exp(s)) == s), "log(exp(s)) == s", "mismatch"
 
         def inv_thunk(s=s_unit):
-            return (
-                s * series_inverse(s) == TruncSeries.one(order)
-            ), "s * inverse(s) == 1", "mismatch"
+            return (s * series_inverse(s) == TruncSeries.one(order)), "s * inverse(s) == 1", "mismatch"
 
         yield f"series-sqrt[{trial}]", sqrt_thunk
         yield f"series-explog[{trial}]", exp_log_thunk
@@ -338,9 +324,7 @@ def suite_roundtrip(cfg: RunConfig) -> Work:
 
 
 # The runner table, in the order of the CLI's --suite choices.
-_SUITES: dict[str, Callable[[RunConfig], Work]] = {
-    name: globals()[f"suite_{name}"] for name in SUITE_NAMES
-}
+_SUITES: dict[str, Callable[[RunConfig], Work]] = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
 def _run_case(case_id: str, thunk: Thunk) -> Case:

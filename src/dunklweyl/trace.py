@@ -12,6 +12,13 @@ read off combinatorially: the coefficient of z^k zb^k times (k!)^2.
 phi vanishes on all star commutators and is normalized by phi(1) = 1; the
 certificate machinery in the homology module re-proves both facts
 constructively, and the two routes are required to agree exactly.
+
+One stream, _products, builds every product of the deformation factors: the
+rows of phi, class_scalar and ch_phi (factors 1..k) and the suffix products
+of the homology module's certificates (factors k..1).  A product is a reduced
+fraction times a primitive integer polynomial in h2; each factor enters the
+polynomial divided by its content, so by Gauss's lemma only the fraction
+ever needs a gcd.
 """
 
 from __future__ import annotations
@@ -44,29 +51,33 @@ def recursion_scalar(k: int) -> ScalarPoly:
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), by k % 4
 
 
-def _rows():
-    """Row k of prod_{l=1}^{k} step_factor(l) for k = 0, 1, 2, ..., built when asked for:
-    (n, d) with the product = sum_j n[j] * h2^j / d and gcd(n[0], n[1], ..., d) = 1."""
-    nums, den = (1,), 1
-    while True:
-        yield nums, den
-        c0, c1, step_den = _step(len(nums))  # row k has k + 1 entries
-        new = [c0 * n + c1 * m for n, m in zip(nums + (0,), (0,) + nums)]
-        den *= step_den
-        g = gcd(den, *new)
-        nums, den = tuple(n // g for n in new), den // g
+def _products(ls):
+    """Running products of step_factor(l) over the l in ls, built when asked for: (poly, num, den)
+    before each factor and after the last, each product num/den * sum_j poly[j] * h2^j in
+    lowest terms (poly primitive, as each factor c0 + c1*h2 enters it over gcd(c0, c1))."""
+    poly, num, den = (1,), 1, 1
+    for l in ls:
+        yield poly, num, den
+        c0, c1, d = _step(l)
+        g = gcd(c0, c1)
+        c0, c1, num, den = c0 // g, c1 // g, num * g, den * d
+        poly = tuple(c0 * n + c1 * m for n, m in zip(poly + (0,), (0,) + poly))
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    yield poly, num, den
 
 
-def _row_scalar(k: int, nums: tuple[int, ...], den: int) -> ScalarPoly:
-    """(i*h1)^k * sum_j nums[j] * h2^j / den, one reduction per coefficient."""
-    re, im = _I_POWERS[k % 4]
-    return ScalarPoly.from_clean({(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(nums) if n})
+def _row_scalar(k: int, poly: tuple[int, ...], num: int, den: int) -> ScalarPoly:
+    """(i*h1)^k * num/den * sum_j poly[j] * h2^j, one reduction per coefficient."""
+    re, im = (num * x for x in _I_POWERS[k % 4])
+    return ScalarPoly.from_clean({(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(poly) if n})
 
 
 def class_scalars(ks) -> dict[int, ScalarPoly]:
-    """class_scalar(k) for each k >= 0 in ks, from one pass over the rows up to the largest."""
+    """class_scalar(k) for each k >= 0 in ks, from one pass over the products up to the largest."""
     ks = set(ks)
-    return {k: _row_scalar(k, *row) for k, row in zip(range(max(ks, default=-1) + 1), _rows()) if k in ks}
+    rows = enumerate(_products(range(1, max(ks, default=0) + 1)))
+    return {k: _row_scalar(k, *row) for k, row in rows if k in ks}
 
 
 def class_scalar(k: int) -> ScalarPoly:
@@ -97,6 +108,5 @@ def ch_phi(order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [_row_scalar(k, nums, den * factorial(k)) for k, (nums, den) in zip(range(order + 1), _rows())]
-    return TruncSeries(coeffs, order)
-
+    rows = enumerate(_products(range(1, order + 1)))
+    return TruncSeries([_row_scalar(k, poly, num, den * factorial(k)) for k, (poly, num, den) in rows], order)

@@ -45,7 +45,7 @@ from dunklweyl.spherical import (
     star,
     star_commutator,
 )
-from dunklweyl.suites import RunConfig, _random_element, _random_unit_series, run_suite
+from dunklweyl.suites import ACCEPTANCE, _random_element, _random_unit_series, run_suite
 from dunklweyl.trace import ch_phi, phi, recursion_scalar, trace_defect
 from tests.conftest import star_power
 
@@ -56,7 +56,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_relation_suite():
     start = time.perf_counter()
-    rep = run_suite("relations", RunConfig())
+    rep = run_suite("relations", ACCEPTANCE["relations"])
     elapsed = time.perf_counter() - start
     ok = rep.ok and elapsed < 1.0
     report(1, ok, f"relation identities, {rep.passed}/{len(rep.cases)} in {elapsed:.3f}s")
@@ -65,13 +65,14 @@ def test_criterion_1_relation_suite():
 
 
 def test_criterion_2_trace_property_degree_12():
+    degree = ACCEPTANCE["trace"].degree
     count = 0
-    for m1 in invariant_monomials(12):
-        for m2 in invariant_monomials(12 - m1.degree()):
+    for m1 in invariant_monomials(degree):
+        for m2 in invariant_monomials(degree - m1.degree()):
             count += 1
             defect = trace_defect(m1, m2)
             assert defect.is_zero(), (m1.to_text(), m2.to_text(), defect.to_text())
-    report(2, True, f"trace vanishes on {count} commutator pairs (total degree <= 12)")
+    report(2, True, f"trace vanishes on {count} commutator pairs (total degree <= {degree})")
 
 
 def test_criterion_3_certificates_degree_12():
@@ -89,7 +90,7 @@ def test_criterion_3_certificates_degree_12():
         )
         assert recursion_scalar(k) == want, f"step scalar k={k}"
     n = 0
-    for m in invariant_monomials(12):
+    for m in invariant_monomials(ACCEPTANCE["hh0"].degree):
         ((p, q), _c), = m.terms()
         cert = reduce_certificate(p, q)
         assert check_certificate(cert), m.to_text()
@@ -99,7 +100,7 @@ def test_criterion_3_certificates_degree_12():
 
 
 def test_criterion_4_degeneration_degree_8():
-    monos = invariant_monomials(8)
+    monos = invariant_monomials(ACCEPTANCE["degeneration"].degree)
     count = 0
     for m1 in monos:
         for m2 in monos:
@@ -111,13 +112,14 @@ def test_criterion_4_degeneration_degree_8():
 def test_criterion_5_rotation_weights_degree_10():
     zzb = InvariantPoly.zzbar()
     count = 0
-    for m in invariant_monomials(10):
+    degree = ACCEPTANCE["euler"].degree
+    for m in invariant_monomials(degree):
         ((p, q), _c), = m.terms()
         want = m.scale(ScalarPoly.monomial(GaussianRational.of(0, p - q), 1, 0))
         assert star_commutator(m, zzb) == want, m.to_text()
         assert euler_derivation(m) == want, m.to_text()
         count += 1
-    report(5, True, f"i*h1*(p-q) rotation weight on {count} monomials (degree <= 10)")
+    report(5, True, f"i*h1*(p-q) rotation weight on {count} monomials (degree <= {degree})")
 
 
 @pytest.mark.xfail(
@@ -129,32 +131,34 @@ def test_criterion_5_rotation_weights_degree_10():
     ),
 )
 def test_criterion_6_character_vs_star_powers_as_stated():
-    series = ch_phi(6)
+    order = ACCEPTANCE["chphi"].order
+    series = ch_phi(order)
     zzb = InvariantPoly.zzbar()
     fact = 1
     mismatches = []
-    for k in range(7):
+    for k in range(order + 1):
         if k:
             fact *= k
         oracle = phi(star_power(zzb, k)).scale(GaussianRational.of(Fraction(1, fact)))
         if series.coeffs[k] != oracle:
             mismatches.append(k)
-    report(6, not mismatches, f"star-power oracle, k<=6 (mismatch at k={mismatches})")
+    report(6, not mismatches, f"star-power oracle, k<={order} (mismatch at k={mismatches})")
     assert not mismatches, f"closed form != star-power trace at k={mismatches}"
 
 
 def test_criterion_6_character_vs_plain_powers():
     # the reading under which the closed form is exact: phi applied to the
     # termwise exponential of t*z*zb
-    series = ch_phi(6)
+    order = ACCEPTANCE["chphi"].order
+    series = ch_phi(order)
     zzb = InvariantPoly.zzbar()
     fact = 1
-    for k in range(7):
+    for k in range(order + 1):
         if k:
             fact *= k
         oracle = phi(zzb.poly_pow(k)).scale(GaussianRational.of(Fraction(1, fact)))
         assert series.coeffs[k] == oracle, f"k={k}"
-    report(6, True, "character coefficients equal phi of plain powers / k! (k <= 6)")
+    report(6, True, f"character coefficients equal phi of plain powers / k! (k <= {order})")
 
 
 def test_criterion_7_series_layer():
@@ -162,14 +166,14 @@ def test_criterion_7_series_layer():
     assert quot.coeffs[2] == ScalarPoly.from_rational(Fraction(-1, 24))
     assert quot.coeffs[4] == ScalarPoly.from_rational(Fraction(7, 5760))
     rng = random.Random(0)
-    order = 8
+    order = ACCEPTANCE["series"].order
     for _ in range(8):
         s = _random_unit_series(rng, order)
         assert series_sqrt(s) * series_sqrt(s) == s
         assert s * series_inverse(s) == TruncSeries.one(order)
         z = TruncSeries([ScalarPoly.zero()] + list(s.coeffs[1:]), order)
         assert series_log(series_exp(z)) == z
-    report(7, True, "inverse-sinh coefficients -1/24 and 7/5760; property oracles at order 8")
+    report(7, True, f"inverse-sinh coefficients -1/24 and 7/5760; property oracles at order {order}")
 
 
 def test_criterion_8_index_form():

@@ -6,6 +6,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -373,6 +374,23 @@ class TestNumeralLimit:
         code, _out, err = run_cli(capsys, "nf", f"(10)^{LIMIT}", "--format", fmt)
         assert (code, err) == (2, f"error: the result has a numeral longer than exprs.NUMERAL_LIMIT ({LIMIT} digits)\n")
         assert "sys." not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_printed_result_whatever_the_interpreter_allows(self, fmt):
+        # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own limit on printing an int;
+        # the printers still refuse a numeral past NUMERAL_LIMIT, before any output
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+
+        def cold(src: str) -> tuple[int, str, str]:
+            proc = subprocess.run([sys.executable, "-m", "dunklweyl.cli", "nf", src, "--format", fmt],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        code, out, err = cold(f"(10)^{LIMIT - 1}")
+        assert code == 0 and ("1" + "0" * (LIMIT - 1)) in out and err == ""
+        refusal = f"error: the result has a numeral longer than exprs.NUMERAL_LIMIT ({LIMIT} digits)\n"
+        for src in (f"(10)^{LIMIT}", "(2)^15000"):
+            assert cold(src) == (2, "", refusal), src
 
 
 class TestCurvatureSymbols:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from dunklweyl.cli import main
-from dunklweyl.suites import RunConfig
+from dunklweyl.suites import ACCEPTANCE, RunConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
@@ -68,7 +68,8 @@ def test_battery_matches_recorded_digests():
 
 
 def test_battery_parameters_match_the_benchmark():
-    # scripts/run_verify.py runs the battery at the parameters the benchmark times
+    # suites.ACCEPTANCE, the table scripts/run_verify.py runs, is the battery
+    # the benchmark times from its own frozen copy
     spec = importlib.util.spec_from_file_location("_run_verify", BENCH.parent / "scripts" / "run_verify.py")
     run_verify = importlib.util.module_from_spec(spec)
     path = list(sys.path)
@@ -76,6 +77,7 @@ def test_battery_parameters_match_the_benchmark():
         spec.loader.exec_module(run_verify)  # puts src/ on sys.path
     finally:
         sys.path[:] = path
-    acceptance = _load("child").ACCEPTANCE
-    assert list(run_verify.PARAMS) == list(acceptance)
-    assert run_verify.PARAMS == {name: RunConfig(**params) for name, params in acceptance.items()}
+    assert run_verify.ACCEPTANCE is ACCEPTANCE
+    frozen = _load("child").ACCEPTANCE
+    assert list(ACCEPTANCE) == list(frozen)
+    assert ACCEPTANCE == {name: RunConfig(**params) for name, params in frozen.items()}

@@ -11,9 +11,9 @@ from dunklweyl.hochschild import (
     hh0_report,
     reduce_certificate,
 )
-from dunklweyl.scalars import ScalarPoly
+from dunklweyl.scalars import GaussianRational, ScalarPoly
 from dunklweyl.spherical import InvariantPoly, ParityError, invariant_monomials
-from dunklweyl.trace import class_scalar, phi
+from dunklweyl.trace import class_scalar, phi, recursion_scalar
 from tests.conftest import h1_range
 
 
@@ -51,6 +51,33 @@ class TestReduce:
             for w in reduce_certificate(p, q).witnesses:
                 lo, _hi = h1_range(w.coeff)
                 assert lo >= -1
+
+
+    def test_witnesses_are_the_suffix_products(self):
+        # the old construction: step j's coefficient is the ScalarPoly product
+        # of recursion_scalar(l) for l > j, divided by 2*i*h1*(j+1)
+        p = 14
+        cert = reduce_certificate(p, p)
+        tail = ScalarPoly.one()
+        for w, j in zip(cert.witnesses, range(p, 0, -1)):
+            divisor = ScalarPoly.monomial(GaussianRational.of(0, 2 * (j + 1)), 1, 0)
+            want = tail * divisor.invert_monomial()
+            assert w.coeff == want and w.coeff.to_json() == want.to_json(), f"j={j}"
+            tail = tail * recursion_scalar(j)
+        assert len(cert.witnesses) == p
+        assert cert.scalar == tail and cert.scalar.to_json() == class_scalar(p).to_json()
+
+    def test_reads_the_product_stream(self, monkeypatch):
+        # witnesses and scalar come from the trace module's one stream of
+        # factor products: no ScalarPoly product, where the suffix products
+        # and class_scalar(40) made 120
+        calls = []
+        mul = ScalarPoly.__mul__
+        monkeypatch.setattr(ScalarPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        cert = reduce_certificate(40, 40)
+        assert len(calls) == 0
+        monkeypatch.undo()
+        assert cert.scalar == class_scalar(40) and check_certificate(cert)
 
 
 class TestCheck:

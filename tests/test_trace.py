@@ -146,6 +146,51 @@ class TestIntegerClassScalars:
             for c in got.term_map().values():
                 assert c._d > 0 and gcd(c._r, c._s, c._d) == 1, f"k={k}"
 
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two polynomials in h2, as coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def pochhammer_row(k: int) -> list[Fraction]:
+    """Row k of the deformation-factor product in closed form, from rising factorials:
+    row(2M) = 4^M (M!)^2 / (2M+1)! * (1/2 + h2)_M * (3/2 - h2)_M and
+    row(2M+1) = row(2M) * (2M+1 + 2*h2) / 2."""
+    m = k // 2
+    row = [Fraction(4**m * factorial(m) ** 2, factorial(2 * m + 1))]
+    for i in range(m):
+        row = _poly_mul(row, [Fraction(1, 2) + i, Fraction(1)])
+        row = _poly_mul(row, [Fraction(3, 2) + i, Fraction(-1)])
+    if k % 2:
+        row = _poly_mul(row, [Fraction(k, 2), Fraction(1)])
+    return row
+
+
+class TestClosedFormRows:
+    def test_class_scalar_is_the_pochhammer_form(self):
+        # an independent computation: neither the product stream nor the step factors
+        i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        for k in range(61):
+            re, im = i_powers[k % 4]
+            want = ScalarPoly({(k, j): GaussianRational.of(re * c, im * c)
+                               for j, c in enumerate(pochhammer_row(k)) if c})
+            got = class_scalar(k)
+            assert got == want and got.to_json() == want.to_json(), f"k={k}"
+
+    def test_rows_need_no_row_gcd(self, monkeypatch):
+        # the factors enter the row primitive, so by Gauss's lemma the row
+        # stays primitive and only its rational content takes a gcd: a few
+        # integers per step, where one gcd(den, *row) per step passed 20,500
+        seen = []
+        monkeypatch.setattr(trace, "gcd", lambda *ns: seen.append(len(ns)) or gcd(*ns))
+        class_scalar(200)
+        assert 0 < sum(seen) < 2000
+
+
 class TestTraceDefect:
     def test_examples(self):
         assert trace_defect(M(2, 0), M(0, 2)).is_zero()
