@@ -30,9 +30,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> str:
-    """The result line (the last line of standard output) of one benchmark run."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
+    """The result line (the last line of standard output) of one benchmark run, traced when trace is 1."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:

@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Per-layer metrics of one traced benchmark run in each of two checkouts, side by side.
+
+    python3 scripts/layer_diff.py PARENT_DIR CHANGE_DIR --workload W --seed S
+
+PARENT_DIR and CHANGE_DIR are checkouts, as for scripts/ab_bench.py.  Each
+runs `bench/run.py --trace 1` once at seed S, the parent first, through
+ab_bench's `run`.  Then one line per per-layer metric of
+CHANGE_DIR/BENCHMARK.json gives both values and the relative change, marked
+`WORSE` when the metric moved more than 10% against its `better`: such a move
+needs an explanation.  A last line names every marked metric.  The exit
+status is 1 when a run is not correct, else 0.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import ab_bench  # noqa: E402
+
+THRESHOLD = 0.10  # a relative move the wrong way beyond this is marked
+
+
+def _value(result: dict, name: str) -> float | None:
+    return result.get("metrics", {}).get(name, {}).get("value")
+
+
+def _relative(parent: float, change: float) -> float:
+    """(change - parent) / |parent|; from zero, any move is infinite."""
+    if parent:
+        return (change - parent) / abs(parent)
+    return 0.0 if change == parent else float("inf") if change > parent else float("-inf")
+
+
+def report(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
+    """One line per per-layer metric of two traced result lines, then the marked ones."""
+    width = max(len(spec["name"]) for spec in per_layer)
+    out, marked = [], []
+    for spec in per_layer:
+        name = spec["name"]
+        p, c = _value(parent, name), _value(change, name)
+        if p is None or c is None:
+            out.append(f"{name:<{width}}  {p!s:>12}  {c!s:>12}  missing")
+            continue
+        rel = _relative(p, c)
+        sign = 1 if spec["better"] == "higher" else -1
+        line = f"{name:<{width}}  {p:>12.6g}  {c:>12.6g}  {rel:>+8.1%}"
+        if -sign * rel > THRESHOLD:
+            line += f"  WORSE ({spec['better']} is better)"
+            marked.append(name)
+        out.append(line)
+    out.append(f"moved more than {THRESHOLD:.0%} the wrong way: {', '.join(marked) or 'none'}")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    results = {side: json.loads(ab_bench.run(getattr(args, side), args.workload, args.seed,
+                                             spec["run_seconds"], trace=1))
+               for side in ab_bench.SIDES}
+    print(f"workload {args.workload}, seed {args.seed}, one traced run per checkout")
+    status = 0
+    for side, result in results.items():
+        if not result.get("correct") or result.get("failed"):
+            print(f"{side}: correct={result.get('correct')} failed={result.get('failed')}")
+            status = 1
+    print("\n".join(report(results["parent"], results["change"], spec["per_layer"])))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,16 +9,16 @@ Every element has a unique normal form as a finite sum c * z^p * zb^q * g^eps.
 An element stores its coefficients as integer pairs over one denominator.
 Multiplication reorders each zb^q * z^p by the Dunkl-operator action of zb on
 powers of z.  _reorder returns that normal form as integer tables, behind a
-bounded cache keyed by (q, p) that keeps only small tables; mul spreads one
-scalar product per term pair over the table into one integer accumulator and
-divides out its content once at the end.
+bounded cache keyed by (q, p) that keeps only small tables; mul spreads the
+integer pairs of one ScalarPoly product per term pair over the table into one
+integer accumulator and divides out its content once at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import ScalarPoly, TermMap, _stored, _view
+from .scalars import GR_ONE, GaussianRational, ScalarPoly, TermMap, _stored, _view, gaussian
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
@@ -124,9 +124,9 @@ class SrcElement(TermMap):
         return SrcElement({(p, q, eps): coeff if coeff is not None else ScalarPoly.one()})
 
     @staticmethod
-    def term(key: TermKey, h1: int = 0, h2: int = 0, r: int = 1, s: int = 0, d: int = 1) -> "SrcElement":
-        """(r + s*i)/d * h1^h1 * h2^h2 * z^p zb^q g^eps of integers, d > 0, for a valid key."""
-        return _stored(SrcElement, {key: {(h1, h2): (r, s)}} if r or s else {}, d)
+    def term(key: TermKey, c: GaussianRational = GR_ONE, h1: int = 0, h2: int = 0) -> "SrcElement":
+        """c * h1^h1 * h2^h2 * z^p zb^q g^eps for a valid key."""
+        return _stored(SrcElement, {} if c.is_zero() else {key: {(h1, h2): (c._r, c._s)}}, c._d)
 
     @staticmethod
     def x() -> "SrcElement":
@@ -140,11 +140,11 @@ class SrcElement(TermMap):
 
     # -- queries and arithmetic ------------------------------------------
 
-    def constant(self) -> tuple[int, int, int, int, int] | None:
-        """(h1, h2, r, s, d) when self is the scalar (r + s*i)/d * h1^h1 * h2^h2, else None."""
+    def constant(self) -> tuple[int, int, GaussianRational] | None:
+        """(h1, h2, c) when self is the scalar c * h1^h1 * h2^h2, else None."""
         if len(self._terms) == 1 and len(cells := self._terms.get((0, 0, 0), ())) == 1:
             ((h1, h2), (r, s)), = cells.items()
-            return h1, h2, r, s, self._d
+            return h1, h2, gaussian(r, s, self._d)
         return None
 
     def gamma_free(self) -> bool:
@@ -162,33 +162,29 @@ class SrcElement(TermMap):
 
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:
     """Exact product in normal form: one ScalarPoly product per term pair, of
-    the terms' Gaussian-integer numerators, spread over the pair's _reorder
-    table into {(p, q, eps): {(h1, h2): [r, s]}} over a._d * b._d."""
+    the terms' Gaussian-integer numerators, whose pairs are spread over the
+    pair's _reorder table into {(p, q, eps): {(h1, h2): [r, s]}} over a._d * b._d."""
     right = [(key, _view(cells, 1)) for key, cells in b._terms.items()]
     acc: dict[TermKey, dict] = {}
     for (p1, q1, e1), cells1 in a._terms.items():
         n1 = _view(cells1, 1)
         for (p2, q2, e2), n2 in right:
-            lifted = [(h1, h2, c._r, c._s) for (h1, h2), c in (n1 * n2)._terms.items()]
+            prod = (n1 * n2)._terms.items()
+            # a row entry n stands for i^(k % 2) * n: for odd k the pairs are turned by i
+            turns = ([(h1, h2, r, s) for (h1, h2), (r, s) in prod], [(h1, h2, -s, r) for (h1, h2), (r, s) in prod])
             # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
             flip = e1 == 1 and (p2 + q2) % 2 == 1
             for x, y, eps, k, row in _reorder(q1, p2):
-                # the inner g (if any) still has to cross zb^q2
-                negate = flip != (eps == 1 and q2 % 2 == 1)
                 key = (p1 + x, y + q2, eps ^ e1 ^ e2)
                 cells = acc.get(key)
                 if cells is None:
                     cells = acc[key] = {}
-                # a row entry n stands for i^(k % 2) * n: odd k turns r + s*i by i
-                odd = k % 2
-                for h1, h2, r, s in lifted:
-                    if odd:
-                        r, s = -s, r
-                    if negate:
-                        r, s = -r, -s
-                    h1 += k
-                    for j, n in row:
-                        hk = (h1, h2 + j)
+                # the inner g (if any) still has to cross zb^q2
+                sign = -1 if flip != (eps == 1 and q2 % 2 == 1) else 1
+                for j, n in row:
+                    n *= sign
+                    for h1, h2, r, s in turns[k % 2]:
+                        hk = (h1 + k, h2 + j)
                         cell = cells.get(hk)
                         if cell is None:
                             cells[hk] = [r * n, s * n]

@@ -18,8 +18,8 @@ A leading '-' is only read as part of a rational literal, so canonical
 output spells -z as -1*z.
 
 Evaluation walks the tree once.  A sum merges its parts once; a product folds
-its central factors into one coefficient (a constant's power is one
-Gaussian-integer power) and its z, zb and g powers into one normal-order
+its central factors into one GaussianRational coefficient (with `*`, and `**`
+for a constant's power) and its z, zb and g powers into one normal-order
 word z^p zb^q g^e, and multiplies in with algebra.mul only a factor that
 breaks that order (z after zb) or is compound (x, y, a parenthesised
 non-constant, or its power).  Numerals are at most NUMERAL_LIMIT digits long.
@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .algebra import SrcElement
-from .scalars import GaussianRational, ScalarPoly, gaussian
+from .scalars import GR_I, GR_ONE, GaussianRational, ScalarPoly, gaussian
 
 if TYPE_CHECKING:  # imported where used, so a cold CLI call loads neither
     from .index import LocalElement
@@ -266,8 +266,8 @@ def parse(src: str) -> Node:
 # Atoms whose powers the atom table builds as one monomial; atom_fn gets the
 # exponent as its argument (negative only for h1, by the grammar).
 _POWER_ATOMS = {"z", "zb", "h1", "h2"}
-_PLAIN = (0, 0, 0, 1, 0, 1, 0, 0)  # (p, q, e, r, s, d, a, b) of _element's empty word, coefficient 1
-_I = SrcElement.term((0, 0, 0), 0, 0, 0, 1)  # the value of i
+_PLAIN = (0, 0, 0, GR_ONE, 0, 0)  # (p, q, e, c, a, b) of _element's empty word, coefficient 1
+_I = SrcElement.term((0, 0, 0), GR_I)  # the value of i
 
 
 def _eval_generic(node: Node, atom_fn):
@@ -301,13 +301,13 @@ def _element_atom(name: str, arg) -> SrcElement:
     """The value of one atom, which eval_local lifts to the fiber; eval_element reads
     only x, y, p and q here.  arg is a number's Num or a generator's exponent."""
     if name == "__num__":
-        return SrcElement.scalar(ScalarPoly.monomial(gaussian(arg.num, 0, arg.den)))
+        return SrcElement.term((0, 0, 0), gaussian(arg.num, 0, arg.den))
     if name == "i":
-        return SrcElement.scalar(ScalarPoly.i())
+        return _I
     if name == "h1":
-        return SrcElement.scalar(ScalarPoly.h1(arg))
+        return SrcElement.term((0, 0, 0), GR_ONE, arg)
     if name == "h2":
-        return SrcElement.scalar(ScalarPoly.h2(arg))
+        return SrcElement.term((0, 0, 0), GR_ONE, 0, arg)
     if name == "g":
         return SrcElement.term((0, 0, 1))
     if name == "z":
@@ -327,17 +327,17 @@ def eval_element(node: Node) -> SrcElement:
 
 
 def _element(node: Node) -> SrcElement:
-    """eval_element by the module docstring's rules; the coefficient is (r + s*i)/d * h1^a * h2^b."""
+    """eval_element by the module docstring's rules; the coefficient is c * h1^a * h2^b."""
     if isinstance(node, Sum):
         parts = [(sign, _element(part)) for sign, part in node.parts]
         return parts[0][1].plus(parts[1:])
     left = None  # the factors before the word, once one of them was not folded
-    p, q, e, r, s, d, a, b = _PLAIN
+    p, q, e, c, a, b = _PLAIN
     for factor in node.factors if isinstance(node, Prod) else (node,):
         base, k = (factor.base, factor.exp) if isinstance(factor, Pow) else (factor, 1)
         name = base.name if isinstance(base, Atom) else None
         if isinstance(base, Num):
-            r, s, d = r * base.num**k, s * base.num**k, d * base.den**k
+            c = c * gaussian(base.num, 0, base.den) ** k
         elif name == "h1":
             a += k
         elif name == "h2":
@@ -346,36 +346,31 @@ def _element(node: Node) -> SrcElement:
             e ^= k % 2
         elif name == "zb" or (name == "z" and not (q and k)):
             if e and k % 2:  # g crosses z^k or zb^k
-                r, s = -r, -s
+                c = -c
             p, q = (p + k, q) if name == "z" else (p, q + k)
         elif name == "z":  # z after zb starts the next word
-            word = SrcElement.term((p, q, e), a, b, r, s, d)
+            word = SrcElement.term((p, q, e), c, a, b)
             left = word if left is None else left * word
-            p, q, e, r, s, d, a, b = k, 0, 0, 1, 0, 1, 0, 0
+            p, q, e, c, a, b = k, 0, 0, GR_ONE, 0, 0
         else:  # i, x, y, p, q or parenthesised
-            value = _I if name == "i" else _element(base) if name is None else _element_atom(name, 1)
+            value = _element(base) if name is None else _element_atom(name, 1)
             if (const := value.constant()) is None:  # a repeated product, folded in if constant
                 power = value if k else SrcElement.one()
                 for _ in range(k - 1):
                     power = power * value
                 const, k = power.constant(), 1
-            if const is not None:  # times (cr + cs*i)^k, by squaring from the top bit
-                ca, cb, cr, cs, cd = const
-                pr, ps = 1, 0
-                for bit in f"{k:b}":
-                    pr, ps = pr * pr - ps * ps, 2 * pr * ps
-                    if bit == "1":
-                        pr, ps = pr * cr - ps * cs, pr * cs + ps * cr
-                r, s, d, a, b = r * pr - s * ps, r * ps + s * pr, d * cd**k, a + ca * k, b + cb * k
+            if const is not None:  # times (const * h1^ca * h2^cb)^k
+                ca, cb, const = const
+                c, a, b = c * const**k, a + ca * k, b + cb * k
                 continue
-            if (p, q, e, r, s, d, a, b) != _PLAIN:
-                word = SrcElement.term((p, q, e), a, b, r, s, d)
+            if (p, q, e, c, a, b) != _PLAIN:
+                word = SrcElement.term((p, q, e), c, a, b)
                 left = word if left is None else left * word
-                p, q, e, r, s, d, a, b = _PLAIN
+                p, q, e, c, a, b = _PLAIN
             left = power if left is None else left * power
-    if left is not None and (p, q, e, r, s, d, a, b) == _PLAIN:
+    if left is not None and (p, q, e, c, a, b) == _PLAIN:
         return left
-    word = SrcElement.term((p, q, e), a, b, r, s, d)
+    word = SrcElement.term((p, q, e), c, a, b)
     return word if left is None else left * word
 
 

@@ -41,6 +41,14 @@ def _json_field(obj, key: str, kind: type):
     return value
 
 
+def _json_int(numeral: str) -> int:
+    """An integer of certificate JSON, refused past NUMERAL_LIMIT digits
+    whatever CPython's own limit on int(str) is."""
+    if len(numeral.lstrip("-")) > NUMERAL_LIMIT:
+        raise ValueError("a numeral past NUMERAL_LIMIT")
+    return int(numeral)
+
+
 class Certificate(NamedTuple):
     """Witness that target - scalar*1 lies in the span of star commutators."""
 
@@ -87,12 +95,12 @@ class Certificate(NamedTuple):
         import json
 
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=_json_int)
         except RecursionError:
             raise ValueError("certificate JSON: nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"certificate JSON: {exc}") from None
-        except ValueError:  # an integer past CPython's limit on reading one, which NUMERAL_LIMIT names
+        except ValueError:  # _json_int's refusal
             raise ValueError(
                 f"certificate JSON: a number longer than exprs.NUMERAL_LIMIT ({NUMERAL_LIMIT} digits)") from None
         return Certificate.from_json_dict(data)

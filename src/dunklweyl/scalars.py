@@ -4,6 +4,11 @@ Scalars live in the Laurent-polynomial ring Q(i)[h1, h1^-1, h2]: Gaussian
 rational coefficients, an integer power of the quantization parameter h1 and
 a non-negative power of the reflection parameter h2.  All arithmetic is
 exact; there is no floating point anywhere in this package.
+
+One integer form serves the ring: a scalar, like each term of a term map, is
+{(h1, h2): (r, s)} over one denominator in lowest terms (the content/primitive
+part form of Knuth, TAOCP vol. 2, 4.6.1).  GaussianRational is the boundary
+value that the parser folds constants with and the printers and JSON read.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ class ExtractionError(RuntimeError):
 class GaussianRational:
     """A Gaussian rational (r + s*i) / d held as three Python integers.
 
+    The boundary value of the scalar ring: the parser folds constants with
+    `*` and `**`, the printers and JSON read `parts()`, and `inverse` serves
+    `ScalarPoly.invert_monomial`; ScalarPoly itself stores integer pairs.
     The triple is kept in lowest terms: gcd(r, s, d) == 1 and d > 0, so equal
-    values have equal triples and equal hashes.  Arithmetic uses integer
-    products and one gcd per result.  Every value is built from integers by
-    `gaussian`; only the `re` and `im` properties import Fraction.
+    values have equal triples and equal hashes.  Every value is built from
+    integers by `gaussian`; only the `re` and `im` properties import Fraction.
     """
 
     __slots__ = ("_r", "_s", "_d")
@@ -69,74 +76,30 @@ class GaussianRational:
 
     def parts(self) -> tuple[int, int, int, int]:
         """(re numerator, re denominator, im numerator, im denominator) in
-        lowest terms, with one gcd per part; what printers and JSON read."""
+        lowest terms, with one gcd per part when neither is zero; what printers and JSON read."""
         r, s, d = self._r, self._s, self._d
+        if not s:  # then gcd(r, d) is gcd(r, s, d), which is 1
+            return r, d, 0, 1
+        if not r:
+            return 0, 1, s, d
         g, h = gcd(r, d), gcd(s, d)
         return r // g, d // g, s // h, d // h
 
-    # __add__ and __mul__ run once per coefficient sum and product of every
-    # engine layer, so they inline gaussian instead of calling it.
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        d1 = self._d
-        d2 = other._d
-        if d1 == d2:
-            r = self._r + other._r
-            s = self._s + other._s
-            d = d1
-        else:
-            r = self._r * d2 + other._r * d1
-            s = self._s * d2 + other._s * d1
-            d = d1 * d2
-        if d != 1:
-            g = gcd(r, s, d)
-            if g != 1:
-                r //= g
-                s //= g
-                d //= g
-        out = _new(GaussianRational)
-        out._r = r
-        out._s = s
-        out._d = d
-        return out
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + -other
-
     def __neg__(self) -> "GaussianRational":
-        out = _new(GaussianRational)
-        out._r = -self._r
-        out._s = -self._s
-        out._d = self._d
-        return out
+        return gaussian(-self._r, -self._s, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        r1 = self._r
-        s1 = self._s
-        r2 = other._r
-        s2 = other._s
-        # Most engine coefficients are purely real or purely imaginary.
-        if not s1:
-            r = r1 * r2
-            s = r1 * s2
-        elif not r1:
-            r = -s1 * s2
-            s = s1 * r2
-        else:
-            r = r1 * r2 - s1 * s2
-            s = r1 * s2 + s1 * r2
-        d = self._d * other._d
-        if d != 1:
-            g = gcd(r, s, d)
-            if g != 1:
-                r //= g
-                s //= g
-                d //= g
-        out = _new(GaussianRational)
-        out._r = r
-        out._s = s
-        out._d = d
-        return out
+        r1, s1, r2, s2 = self._r, self._s, other._r, other._s
+        return gaussian(r1 * r2 - s1 * s2, r1 * s2 + s1 * r2, self._d * other._d)
+
+    def __pow__(self, k: int) -> "GaussianRational":
+        """self**k for k >= 0: the numerator squared from the top bit, over d**k, reduced once."""
+        r, s = 1, 0
+        for bit in f"{k:b}":
+            r, s = r * r - s * s, 2 * r * s
+            if bit == "1":
+                r, s = r * self._r - s * self._s, r * self._s + s * self._r
+        return gaussian(r, s, self._d**k)
 
     def inverse(self) -> "GaussianRational":
         r = self._r
@@ -146,9 +109,6 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         d = self._d
         return gaussian(d * r, -d * s, norm)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        return self * other.inverse()
 
     def is_zero(self) -> bool:
         return not self._r and not self._s
@@ -185,7 +145,6 @@ def gaussian(r: int, s: int, d: int) -> GaussianRational:
     return out
 
 
-GR_ZERO = GaussianRational.of(0)
 GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
@@ -207,21 +166,27 @@ def accumulate(out: dict, key, value) -> None:
 class ScalarPoly:
     """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
 
-    The coefficient ring of every term map, stored as a map (a, b) -> nonzero
-    GaussianRational.  The h1 exponent may be negative, the h2 exponent may
-    not.  Instances are treated as immutable.
+    The coefficient ring of every term map, stored as one term of a term map:
+    a denominator d > 0 and {(a, b): (r, s)}, standing for the sum of
+    (r + s*i)/d * h1^a * h2^b.  The storage is in lowest terms (the gcd of d
+    with every r and s is 1, and zero has d == 1), so equal values have equal
+    storage and hashes.  A product is one Gaussian-integer convolution and a
+    sum one merge over the lcm of the denominators, each reduced once.  The
+    h1 exponent may be negative, the h2 exponent may not.  Instances are
+    treated as immutable, and may share their pairs with a term map.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_d")
 
     def __init__(self, terms: Mapping | None = None):
-        cleaned: dict = {}
-        for key, c in (terms or {}).items():
-            _a, b = key
-            if b < 0:
-                raise ValueError("h2 exponent must be non-negative")
-            accumulate(cleaned, key, c)
-        self._terms = cleaned
+        """The sum of c * h1^a * h2^b over a map (a, b) -> GaussianRational c."""
+        terms = terms or {}
+        if any(b < 0 for _a, b in terms):
+            raise ValueError("h2 exponent must be non-negative")
+        terms = {hk: c for hk, c in terms.items() if not c.is_zero()}
+        # over the lcm of the reduced denominators the pairs are in lowest terms
+        d = self._d = lcm(*(c._d for c in terms.values()))
+        self._terms = {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in terms.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -237,13 +202,6 @@ class ScalarPoly:
     def from_rational(x, y=0) -> "ScalarPoly":
         """The constant x + y*i."""
         return ScalarPoly({(0, 0): GaussianRational.of(x, y)})
-
-    @staticmethod
-    def from_clean(terms: dict) -> "ScalarPoly":
-        """A ScalarPoly around a term map with valid keys and no zero coefficient."""
-        out = _new(ScalarPoly)
-        out._terms = terms
-        return out
 
     @staticmethod
     def i() -> "ScalarPoly":
@@ -267,44 +225,55 @@ class ScalarPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0): GR_ONE}
+        return self._d == 1 and self._terms == {(0, 0): (1, 0)}
 
     def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
         """Terms in canonical order: by (h1, h2) exponent."""
-        return iter(sorted(self._terms.items()))
+        d = self._d
+        return ((hk, gaussian(r, s, d)) for hk, (r, s) in sorted(self._terms.items()))
 
     def term_map(self) -> dict[tuple[int, int], GaussianRational]:
-        return dict(self._terms)
+        return dict(self.terms())
 
     def coefficient(self, key: tuple[int, int]) -> GaussianRational:
-        return self._terms.get(key, GR_ZERO)
+        r, s = self._terms.get(key, (0, 0))
+        return gaussian(r, s, self._d)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            accumulate(out, key, c)
-        return ScalarPoly.from_clean(out)
+        return _sum(((1, self), (1, other)))
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return self + (-other)
+        return _sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly.from_clean({k: -c for k, c in self._terms.items()})
+        return _scalar({hk: (-r, -s) for hk, (r, s) in self._terms.items()}, self._d)
 
     def scale(self, c: GaussianRational) -> "ScalarPoly":
         """Every coefficient times the Gaussian rational c."""
-        if c.is_zero():
-            return ScalarPoly()
-        return ScalarPoly.from_clean({k: v * c for k, v in self._terms.items()})
+        cr, cs = c._r, c._s
+        cells = {hk: (r * cr - s * cs, r * cs + s * cr) for hk, (r, s) in self._terms.items()}
+        return _scalar(cells if cr or cs else {}, self._d * c._d)
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
-        return ScalarPoly.from_clean(out)
+        """One Gaussian-integer convolution of the pairs over the product of the denominators."""
+        t1, t2 = self._terms, other._terms
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
+        if len(t2) == 1:  # times one term: no two products meet and none is zero
+            ((a2, b2), (r2, s2)), = t2.items()
+            cells = {(a1 + a2, b1 + b2): (r1 * r2 - s1 * s2, r1 * s2 + s1 * r2)
+                     for (a1, b1), (r1, s1) in t1.items()}
+            return _scalar(cells, self._d * other._d)
+        out: dict = {}
+        for (a1, b1), (r1, s1) in t1.items():
+            for (a2, b2), (r2, s2) in t2.items():
+                hk = (a1 + a2, b1 + b2)
+                r, s = r1 * r2 - s1 * s2, r1 * s2 + s1 * r2
+                cell = out.get(hk)
+                out[hk] = (r, s) if cell is None else (cell[0] + r, cell[1] + s)
+        return _scalar({hk: (r, s) for hk, (r, s) in out.items() if r or s}, self._d * other._d)
 
     def invert_monomial(self) -> "ScalarPoly":
         """Inverse of a single-term scalar c*h1^a; anything else is rejected.
@@ -313,23 +282,24 @@ class ScalarPoly:
         """
         if len(self._terms) != 1:
             raise NonInvertibleError("only monomial scalars are invertible")
-        ((a, b), c), = self._terms.items()
+        ((a, b), (r, s)), = self._terms.items()
         if b != 0:
             raise NonInvertibleError("h2 is not invertible")
-        return ScalarPoly({(-a, 0): c.inverse()})
+        c = gaussian(r, s, self._d).inverse()
+        return _scalar({(-a, 0): (c._r, c._s)}, c._d)
 
     def subs_h2_zero(self) -> "ScalarPoly":
-        return ScalarPoly.from_clean({k: c for k, c in self._terms.items() if k[1] == 0})
+        return _scalar({hk: rs for hk, rs in self._terms.items() if hk[1] == 0}, self._d)
 
     # -- protocol ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not ScalarPoly:
             return NotImplemented
-        return self._terms == other._terms
+        return self._d == other._d and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._d, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"ScalarPoly({self.to_text()})"
@@ -348,39 +318,74 @@ class ScalarPoly:
 
 
 def dot(pairs: Iterable[tuple[ScalarPoly, ScalarPoly]]) -> ScalarPoly:
-    """sum a * b over the pairs, merged once into one dict: the one step of
-    every truncated-series operation.  A pair with a zero factor is skipped."""
-    out: dict = {}
-    for a, b in pairs:
-        if a._terms and b._terms:
-            for key, c in (a * b)._terms.items():
-                accumulate(out, key, c)
-    return ScalarPoly.from_clean(out)
+    """sum a * b over the pairs, merged once: the one step of every
+    truncated-series operation.  A pair with a zero factor is skipped."""
+    return _sum((1, a * b) for a, b in pairs if a._terms and b._terms)
 
 
-# One term's scalar in a term map: {(h1 exponent, h2 exponent): (r, s)},
-# numerators of (r + s*i)/d over the map's one denominator d.
+# One term's scalar in a term map, and a ScalarPoly's storage: {(h1 exponent,
+# h2 exponent): (r, s)}, numerators of (r + s*i)/d over one denominator d.
 Cells = dict[tuple[int, int], tuple[int, int]]
 
 
+def _content(cell_maps: Iterable[Cells], d: int) -> int:
+    """The gcd of d with every pair of the cell maps, cut short at 1."""
+    g = d
+    for cells in cell_maps:
+        for r, s in cells.values():
+            if g == 1:
+                return 1
+            g = gcd(g, r, s)
+    return g
+
+
+def _lowest(cell_maps: Iterable[Cells], d: int) -> int:
+    """The denominator of cell_maps / d in lowest terms; divides their pairs in place."""
+    g = _content(cell_maps, d)
+    if g != 1:
+        for cells in cell_maps:
+            for hk, (r, s) in cells.items():
+                cells[hk] = (r // g, s // g)
+    return d // g
+
+
+def _scalar(cells: Cells, d: int) -> ScalarPoly:
+    """The ScalarPoly cells / d, d > 0, brought to lowest terms; cells must be
+    its own, hold no zero pair and no negative h2 exponent."""
+    out = _new(ScalarPoly)
+    out._terms = cells
+    out._d = d if d == 1 else _lowest((cells,), d)
+    return out
+
+
 def _view(cells: Cells, d: int) -> ScalarPoly:
-    """The ScalarPoly of one term's pairs over d, each coefficient reduced."""
-    return ScalarPoly.from_clean({hk: gaussian(r, s, d) for hk, (r, s) in cells.items()})
+    """The ScalarPoly of one term's pairs over d: it shares cells, which nothing
+    may divide in place, only when they are in lowest terms over d."""
+    return _scalar(cells if d == 1 or _content((cells,), d) == 1 else dict(cells), d)
+
+
+def _sum(parts: Iterable[tuple[int, ScalarPoly]]) -> ScalarPoly:
+    """sum m * x over the (m, x) in parts, merged once over the lcm of their denominators."""
+    parts = list(parts)
+    d = lcm(*(x._d for _m, x in parts))
+    out: dict = {}
+    for m, x in parts:
+        _merge(out, 0, x._terms, m * (d // x._d))
+    return _scalar(out.get(0, {}), d)
 
 
 def _lift(polys: dict) -> tuple[dict, int]:
     """A map key -> nonzero ScalarPoly as (terms, d): over the lcm of the
-    reduced denominators the pairs are already in lowest terms."""
-    d = lcm(*(c._d for poly in polys.values() for c in poly._terms.values()))
-    terms = {
-        key: {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in poly._terms.items()}
-        for key, poly in polys.items()
-    }
+    denominators the pairs are already in lowest terms."""
+    d = lcm(*(poly._d for poly in polys.values()))
+    terms: dict = {}
+    for key, poly in polys.items():
+        _merge(terms, key, poly._terms, d // poly._d)
     return terms, d
 
 
 def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
-    """Add m * cells into out[key]: the one merge of every term map.
+    """Add m * cells into out[key]: the one merge of every term map and sum of scalars.
 
     A pair or key that cancels drops.  Copies cells on first sight, so out
     owns every pair map it holds.
@@ -400,24 +405,11 @@ def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
         del out[key]
 
 
-def _lowest(terms: dict, d: int) -> tuple[dict, int]:
-    """terms / d in lowest terms; divides the pairs of terms in place."""
-    g = d
-    for cells in terms.values():
-        for r, s in cells.values():
-            g = gcd(g, r, s)
-            if g == 1:
-                return terms, d
-    for cells in terms.values():
-        for hk, (r, s) in cells.items():
-            cells[hk] = (r // g, s // g)
-    return terms, d // g
-
-
 def _stored(cls, terms: dict, d: int):
     """A cls around terms / d in lowest terms; terms must be its own."""
     out = _new(cls)
-    out._terms, out._d = _lowest(terms, d)
+    out._terms = terms
+    out._d = _lowest(terms.values(), d)
     return out
 
 
@@ -538,7 +530,7 @@ class TermMap:
             for k2, n2 in right:
                 key = key_of(k1, k2)
                 if key is not None:
-                    _merge(out, key, {hk: (c._r, c._s) for hk, c in (n1 * n2)._terms.items()})
+                    _merge(out, key, (n1 * n2)._terms)
         return self._new(out, self._d * other._d)
 
     # -- protocol ------------------------------------------------------

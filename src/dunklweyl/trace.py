@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import factorial, gcd
 
-from .scalars import GaussianRational, ScalarPoly, TruncSeries, dot, gaussian
+from .scalars import GaussianRational, ScalarPoly, TruncSeries, _scalar, dot
 from .spherical import InvariantPoly, star_commutator
 
 
@@ -40,7 +40,7 @@ def step_factor(l: int) -> ScalarPoly:
     if l < 1:
         raise ValueError("step index starts at 1")
     c0, c1, den = _step(l)
-    return ScalarPoly.from_clean({(0, 0): gaussian(c0, 0, den), (0, 1): gaussian(c1, 0, den)})
+    return _scalar({(0, 0): (c0, 0), (0, 1): (c1, 0)}, den)
 
 
 def recursion_scalar(k: int) -> ScalarPoly:
@@ -68,9 +68,11 @@ def _products(ls):
 
 
 def _row_scalar(k: int, poly: tuple[int, ...], num: int, den: int) -> ScalarPoly:
-    """(i*h1)^k * num/den * sum_j poly[j] * h2^j, one reduction per coefficient."""
-    re, im = (num * x for x in _I_POWERS[k % 4])
-    return ScalarPoly.from_clean({(k, j): gaussian(re * n, im * n, den) for j, n in enumerate(poly) if n})
+    """(i*h1)^k * num/den * sum_j poly[j] * h2^j for a primitive poly, whose
+    content is then num/den: one gcd(num, den) brings it to lowest terms."""
+    g = gcd(num, den)
+    re, im = (num // g * x for x in _I_POWERS[k % 4])
+    return _scalar({(k, j): (re * n, im * n) for j, n in enumerate(poly) if n}, den // g)
 
 
 def class_scalars(ks) -> dict[int, ScalarPoly]:

@@ -214,7 +214,7 @@ class RefElement(RefTermMap):
 
 
 def _ref_denominator(x: RefElement) -> int:
-    return lcm(*{c._d for poly in x._terms.values() for c in poly._terms.values()})
+    return lcm(*{c._d for poly in x._terms.values() for c in poly.term_map().values()})
 
 
 def ref_kernel_mul(a: RefElement, b: RefElement) -> RefElement:
@@ -225,7 +225,7 @@ def ref_kernel_mul(a: RefElement, b: RefElement) -> RefElement:
             c = c1 * c2
             lifted = [
                 (h1, h2, gr._r * (den // gr._d), gr._s * (den // gr._d))
-                for (h1, h2), gr in c._terms.items()
+                for (h1, h2), gr in c.term_map().items()
             ]
             flip = e1 == 1 and (p2 + q2) % 2 == 1
             for x, y, eps, k, row in algebra._reorder(q1, p2):
@@ -452,6 +452,33 @@ def assert_same_product(got: SrcElement, want: SrcElement) -> None:
             assert gcd(c._r, c._s, c._d) == 1
 
 
+def test_mul_makes_one_integer_scalar_product_per_term_pair(monkeypatch):
+    """algebra.mul multiplies the Gaussian-integer numerators of each term pair
+    once, as one ScalarPoly product that builds no Gaussian rational."""
+    # terms with one to three scalar monomials each: 42 GaussianRational products at the parent
+    a = parse_element("(1/2*i*h1 + 2/3*h2 - 1/5)*z^2 + (2/3-1/5*i)*(h2 + 3/4*h1^-1)*zb*g + 3/7*z*zb - 5/4*h1^-1")
+    b = parse_element("(1/4+i)*zb^2 - 5/6*(h1^-1 + 2*h2^2)*z + 2/9*i*h2*g + (3-1/2*i)*(1 + h1)*z*zb^3")
+    want = ref_kernel_mul(RefElement(a.term_map()), RefElement(b.term_map()))
+    calls = {"ScalarPoly": 0, "GaussianRational": 0}
+
+    def counted(cls):
+        product = cls.__mul__
+
+        def wrapper(x, y):
+            calls[cls.__name__] += 1
+            return product(x, y)
+
+        monkeypatch.setattr(cls, "__mul__", wrapper)
+
+    counted(ScalarPoly)
+    counted(GaussianRational)
+    got = mul(a, b)
+    monkeypatch.undo()
+    pairs = len(list(a.terms())) * len(list(b.terms()))
+    assert pairs == 16 and calls == {"ScalarPoly": pairs, "GaussianRational": 0}
+    assert got.term_map() == want.term_map() and got.to_text() == want.to_text()
+
+
 class TestStorageAgainstReference:
     """Integer pairs over one denominator against the ScalarPoly-coefficient class."""
 
@@ -605,7 +632,7 @@ class TestTermMapStorage:
         truncated = FormPoly.symbol("C", 2) + narrow
 
         monkeypatch.setattr(scalars, "_view", no_view)
-        monkeypatch.setattr(ScalarPoly, "from_clean", staticmethod(no_view))
+        monkeypatch.setattr(scalars, "_scalar", no_view)
         monkeypatch.setattr(ScalarPoly, "__init__", no_view)
         assert not f.to_element().is_zero()
         assert not spherical._fold(e).is_zero()

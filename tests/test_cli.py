@@ -366,6 +366,24 @@ class TestNumeralLimit:
             2, "", f"error: certificate JSON: a number longer than exprs.NUMERAL_LIMIT ({LIMIT} digits)\n")
         assert run_cli(capsys, "certify", "--check", str(cert_file)) == want
 
+    @pytest.mark.parametrize("digits", [LIMIT, LIMIT + 1])
+    @pytest.mark.parametrize("int_max_str_digits", [None, "0"], ids=["default", "unlimited"])
+    def test_in_a_field_the_reader_ignores_whatever_the_interpreter_allows(
+            self, capsys, tmp_path, digits, int_max_str_digits):
+        # the reader refuses past NUMERAL_LIMIT itself, so PYTHONINTMAXSTRDIGITS=0 lets nothing more through
+        data = json.loads(run_cli(capsys, "certify", "z^2*zb^2")[1])
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps(data)[:-1] + f', "x": {"9" * digits}}}')
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if int_max_str_digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = int_max_str_digits
+        proc = subprocess.run([sys.executable, "-m", "dunklweyl.cli", "certify", "--check", str(cert_file)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        if digits == LIMIT:
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "") and proc.stderr.startswith("error: ")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_printed_result(self, capsys, fmt):
         # 10^(LIMIT - 1) has LIMIT digits, 10^LIMIT one more: computed, then refused at print
@@ -567,10 +585,11 @@ class TestCertifyReplay:
 def test_benchmark_tracer_wraps_every_entry_point():
     """bench/tracer.py finds every function and method it times by name.
 
-    The product of two scalars must also reach the traced Gaussian rational
-    product, which the benchmark's layer metrics count, and a CLI product must
-    count scalar products, algebra products with their output terms, a parse
-    and the CLI call itself.
+    The product of two scalars must count as scalar products, a parse that
+    folds constants must reach the traced Gaussian rational product, which the
+    benchmark's layer metrics count, and a CLI product must count scalar
+    products, algebra products with their output terms, a parse and the CLI
+    call itself.
     """
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]; "
@@ -579,6 +598,8 @@ def test_benchmark_tracer_wraps_every_entry_point():
         "a = ScalarPoly.from_rational(2, 1) + ScalarPoly.h1(); "
         "b = ScalarPoly.from_rational(0, 3) + ScalarPoly.h2(); "
         "assert a * b == b * a; "
+        "print(t.folded['scalars.ScalarPoly.mul'][0]); "
+        "from dunklweyl.exprs import parse_element; parse_element('-1/2*i*h1^-1*z^2'); "
         "print(t.folded['scalars.GaussianRational.mul'][0]); "
         # a CLI product must reach the scalar layer and report its terms
         "import dunklweyl.cli; "
@@ -596,11 +617,11 @@ def test_benchmark_tracer_wraps_every_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    unwrapped, gr_mul_calls = lines[0], lines[1]
+    unwrapped, scalar_mul_calls, gr_mul_calls = lines[:3]
     assert unwrapped == "[]"
-    assert int(gr_mul_calls) > 0
+    assert int(scalar_mul_calls) == 2 and int(gr_mul_calls) > 0
     # the nf JSON sits between the counts of the scalar check and of the CLI run
-    assert json.loads("\n".join(lines[2:-1]))
+    assert json.loads("\n".join(lines[3:-1]))
     counts = [int(n) for n in lines[-1].split()]
     assert len(counts) == 6 and all(n > 0 for n in counts), counts
 

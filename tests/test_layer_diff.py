@@ -1,0 +1,60 @@
+"""scripts/layer_diff.py's report, fed canned traced result lines; no benchmark runs."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("_layer_diff", ROOT / "scripts" / "layer_diff.py")
+layer_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layer_diff)
+
+PER_LAYER = [
+    {"name": "scalars.ScalarPoly.mul.self_s", "unit": "s", "better": "lower"},
+    {"name": "scalars.GaussianRational.mul.calls", "unit": "count", "better": "lower"},
+    {"name": "suites.cases", "unit": "count", "better": "higher"},
+    {"name": "algebra.mul.calls", "unit": "count", "better": "lower"},
+    {"name": "cli.import_ms", "unit": "ms", "better": "lower"},
+]
+
+
+def result(**values) -> dict:
+    return {"correct": True, "failed": 0,
+            "metrics": {name.replace("__", "."): {"value": v, "unit": "x"} for name, v in values.items()}}
+
+
+def test_relative_changes_and_wrong_way_moves_are_marked():
+    parent = result(scalars__ScalarPoly__mul__self_s=0.289, scalars__GaussianRational__mul__calls=0,
+                    suites__cases=100, algebra__mul__calls=2980)
+    change = result(scalars__ScalarPoly__mul__self_s=0.177, scalars__GaussianRational__mul__calls=5,
+                    suites__cases=85, algebra__mul__calls=2980)
+    lines = layer_diff.report(parent, change, PER_LAYER)
+    assert len(lines) == len(PER_LAYER) + 1
+    sp, gr, cases, mul, missing = lines[:-1]
+    # 0.289 -> 0.177 s is 38.8% lower, the right way
+    assert sp.split() == ["scalars.ScalarPoly.mul.self_s", "0.289", "0.177", "-38.8%"]
+    # from zero any rise is infinite, against `lower`
+    assert gr.split()[1:] == ["0", "5", "+inf%", "WORSE", "(lower", "is", "better)"]
+    # 15% fewer cases, against `higher`
+    assert cases.split()[1:] == ["100", "85", "-15.0%", "WORSE", "(higher", "is", "better)"]
+    assert mul.split()[1:] == ["2980", "2980", "+0.0%"]
+    assert missing.split() == ["cli.import_ms", "None", "None", "missing"]
+    assert lines[-1] == "moved more than 10% the wrong way: scalars.GaussianRational.mul.calls, suites.cases"
+
+
+def test_a_move_of_at_most_ten_percent_is_not_marked():
+    lines = layer_diff.report(result(algebra__mul__calls=100), result(algebra__mul__calls=110), PER_LAYER[3:4])
+    assert lines == ["algebra.mul.calls           100           110    +10.0%",
+                     "moved more than 10% the wrong way: none"]
+
+
+def test_runs_go_through_ab_bench_with_the_trace_argument(tmp_path):
+    # a stand-in bench/run.py that reports its own argv
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\nprint(json.dumps({'correct': True, 'argv': sys.argv[1:]}))\n")
+    line = json.loads(layer_diff.ab_bench.run(tmp_path, "deep_nf", 3, 30, trace=1))
+    assert line["argv"] == ["--workload", "deep_nf", "--seed", "3", "--seconds", "30", "--trace", "1"]
+    assert json.loads(layer_diff.ab_bench.run(tmp_path, "deep_nf", 3, 30))["argv"][-2:] == ["--trace", "0"]
