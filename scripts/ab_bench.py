@@ -10,12 +10,13 @@ runs first in even pairs, the change in odd ones.  Every run's end-to-end
 metrics are printed, then, for each end-to-end metric of that file: both
 medians, the parent's quartiles, the pairs the change won by the metric's
 `better`, and a verdict on the change's median against the metric's relative
-bound: `unresolved` when the parent's own quartile spread is wider than the
-bound allows, else `WORSE than` or `within`.  A last line per metric gives the
-gain verdict by the claim rule: a gain is met when the change wins at least
-nine tenths of the pairs (ties count for neither) and its median beats the
-parent's by more than the parent's quartile spread.  The exit status is 1 when
-a run is not correct or has failures, else 0.  Stdlib only.
+bound: when the parent's own quartile spread is wider than the bound allows,
+`better in every run` if every change run beats every parent run, else
+`unresolved`; otherwise `WORSE than` or `within`.  A last line per metric
+gives the gain verdict by the claim rule: a gain is met when the change wins
+at least nine tenths of the pairs (ties count for neither) and its median
+beats the parent's by more than the parent's quartile spread.  The exit
+status is 1 when a run is not correct or has failures, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _quartiles(xs: list[float]) -> tuple[float, float]:
 
 def _compare(runs: list[tuple[dict, dict]], spec: dict) -> tuple | None:
     """(pairs, change wins, parent median, change median, parent quartiles,
-    how much the change's median is better) for one metric over the pairs
-    that have it, or None."""
+    how much the change's median is better, whether every change run beats
+    every parent run) for one metric over the pairs that have it, or None."""
     name = spec["name"]
     vals = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
             for p, c in runs if name in p.get("metrics", {}) and name in c.get("metrics", {})]
@@ -63,7 +64,8 @@ def _compare(runs: list[tuple[dict, dict]], spec: dict) -> tuple | None:
     wins = sum(sign * (c - p) > 0 for p, c in vals)
     mp = statistics.median(p for p, _c in vals)
     mc = statistics.median(c for _p, c in vals)
-    return len(vals), wins, mp, mc, _quartiles(sorted(p for p, _c in vals)), sign * (mc - mp)
+    every = min(sign * c for _p, c in vals) > max(sign * p for p, _c in vals)
+    return len(vals), wins, mp, mc, _quartiles(sorted(p for p, _c in vals)), sign * (mc - mp), every
 
 
 def _runs(pairs: list[tuple[str, str]]) -> list[tuple[dict, dict]]:
@@ -86,10 +88,10 @@ def summary(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[list[
         if compared is None:
             out.append(f"{name}: no pair has it")
             continue
-        n, wins, mp, mc, (q1, q3), gap = compared
+        n, wins, mp, mc, (q1, q3), gap, every = compared
         allowed = spec["bound"] * abs(mp)
         if q3 - q1 > allowed:
-            verdict = "unresolved at"
+            verdict = "better in every run, spread wider than" if every else "unresolved at"
         elif -gap > allowed:
             verdict = "WORSE than"
         else:
@@ -107,7 +109,7 @@ def gains(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[str]:
         compared = _compare(runs, spec)
         if compared is None:
             continue
-        n, wins, _mp, _mc, (q1, q3), gap = compared
+        n, wins, _mp, _mc, (q1, q3), gap, _every = compared
         met = wins * 10 >= 9 * n and gap > q3 - q1
         out.append(f"{spec['name']} gain: {'met' if met else 'not met'} (won {wins}/{n} pairs, "
                    f"median gap {gap:.6g} against parent quartile spread {q3 - q1:.6g})")

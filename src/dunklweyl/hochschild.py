@@ -135,9 +135,7 @@ def reduce_certificate(p: int, q: int) -> Certificate:
 
 def check_certificate(cert: Certificate) -> bool:
     """Replay the witnesses through the star engine; exact equality only."""
-    acc = InvariantPoly()
-    for w in cert.witnesses:
-        acc = acc + star_commutator(w.left, w.right).scale(w.coeff)
+    acc = InvariantPoly().plus((1, star_commutator(w.left, w.right).scale(w.coeff)) for w in cert.witnesses)
     lhs = cert.target - InvariantPoly.one().scale(cert.scalar)
     return lhs == acc
 

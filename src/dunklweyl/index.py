@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ScalarPoly, TermMap, TruncSeries, accumulate, gaussian, series_exp, series_inverse
+from .scalars import ScalarPoly, TermMap, TruncSeries, gaussian, series_exp, series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
 from .trace import ch_phi, class_scalars
 
@@ -133,14 +133,11 @@ def eval_series_at_form(series: TruncSeries, s: FormPoly) -> FormPoly:
     series[k] * s^k over k up to half the form degree."""
     if not s.coefficient(()).is_zero():
         raise ValueError("form substituted into a series must have no degree-0 part")
-    top = min(series.order, s.max_form_degree // 2)
-    power = FormPoly.one(s.max_form_degree)
-    out = power.scale(series.coeffs[0])
-    for c in series.coeffs[1 : top + 1]:
-        power = power * s
-        if not c.is_zero():
-            out = out + power.scale(c)
-    return out
+    powers = [FormPoly.one(s.max_form_degree)]
+    for _ in range(min(series.order, s.max_form_degree // 2)):
+        powers.append(powers[-1] * s)
+    zero = FormPoly(max_form_degree=s.max_form_degree)
+    return zero.plus((1, power.scale(c)) for power, c in zip(powers, series.coeffs) if not c.is_zero())
 
 
 def ch_exp(symbol: FormPoly, scale: ScalarPoly) -> FormPoly:
@@ -246,8 +243,10 @@ class LocalElement(TermMap):
         return local_star(self, other)
 
 
-def _base_moyal(e1: BaseKey, e2: BaseKey) -> dict[BaseKey, ScalarPoly]:
-    """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1."""
+def _base_moyal(e1: BaseKey, e2: BaseKey) -> list[tuple[BaseKey, ScalarPoly]]:
+    """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1, as
+    (key, weight) pairs; a key may repeat and keep zero exponents, which
+    LocalElement's key check sums and drops."""
     d1, d2 = dict(e1), dict(e2)
     # partial products over the pairs seen so far: (base key, weight n/d, h1 power)
     results: list[tuple[BaseKey, int, int, int]] = [((), 1, 1, 0)]
@@ -259,26 +258,22 @@ def _base_moyal(e1: BaseKey, e2: BaseKey) -> dict[BaseKey, ScalarPoly]:
             for a, b, n, d in symmetric_weyl_terms(p1, q1, p2, q2)
         ]
         results = [(k + sk, n * sn, d * sd, h + sh) for k, n, d, h in results for sk, sn, sd, sh in step]
-    out: dict[BaseKey, ScalarPoly] = {}
-    for key, n, d, h in results:
-        key = tuple((v, e) for v, e in key if e != 0)
-        accumulate(out, key, ScalarPoly.monomial(gaussian(n, 0, d), h, 0))
-    return out
+    return [(key, ScalarPoly.monomial(gaussian(n, 0, d), h, 0)) for key, n, d, h in results]
 
 
 def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
     """Base Weyl product tensored with the fiber reflection-algebra product."""
-    out: dict[LocalKey, ScalarPoly] = {}
-    for (b1, p1, q1, e1), c1 in F.term_map().items():
-        for (b2, p2, q2, e2), c2 in G.term_map().items():
-            c = c1 * c2
-            fiber = algebra.mul(
-                SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2)
-            )
-            for bkey, bw in _base_moyal(b1, b2).items():
-                for (p, q, eps), fc in fiber.term_map().items():
-                    accumulate(out, (bkey, p, q, eps), c * bw * fc)
-    return LocalElement(out)
+    def terms():
+        for (b1, p1, q1, e1), c1 in F.term_map().items():
+            for (b2, p2, q2, e2), c2 in G.term_map().items():
+                c = c1 * c2
+                fiber = algebra.mul(
+                    SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2)
+                ).term_map()
+                for bkey, bw in _base_moyal(b1, b2):
+                    for (p, q, eps), fc in fiber.items():
+                        yield (bkey, p, q, eps), c * bw * fc
+    return LocalElement(terms())
 
 
 def fiber_fold(F: LocalElement) -> LocalElement:
@@ -300,7 +295,4 @@ def local_trace_density(F: LocalElement) -> LocalElement:
         if p == q:
             diagonal.append((base, p, c))
     scalars = class_scalars(p for _base, p, _c in diagonal)
-    out: dict[LocalKey, ScalarPoly] = {}
-    for base, p, c in diagonal:
-        accumulate(out, (base, 0, 0, 0), scalars[p] * c)
-    return LocalElement(out)
+    return LocalElement(((base, 0, 0, 0), scalars[p] * c) for base, p, c in diagonal)

@@ -149,20 +149,6 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
-def accumulate(out: dict, key, value) -> None:
-    """Add value to out[key], dropping the entry when the sum is zero.
-
-    The one place where a map of scalars is summed into; values need `+` and
-    `is_zero`.
-    """
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
 class ScalarPoly:
     """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
 
@@ -374,16 +360,6 @@ def _sum(parts: Iterable[tuple[int, ScalarPoly]]) -> ScalarPoly:
     return _scalar(out.get(0, {}), d)
 
 
-def _lift(polys: dict) -> tuple[dict, int]:
-    """A map key -> nonzero ScalarPoly as (terms, d): over the lcm of the
-    denominators the pairs are already in lowest terms."""
-    d = lcm(*(poly._d for poly in polys.values()))
-    terms: dict = {}
-    for key, poly in polys.items():
-        _merge(terms, key, poly._terms, d // poly._d)
-    return terms, d
-
-
 def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
     """Add m * cells into out[key]: the one merge of every term map and sum of scalars.
 
@@ -425,24 +401,31 @@ class TermMap:
     the printer in the exprs module and the canonical term order (`_order`)
     of terms(), the printers and every error that names a term.
 
-    Containers reach the storage through two operations besides the linear
-    structure: rekey moves every term to a new key, and product extends a
-    product of keys bilinearly (scale is the product with a one-term map).
-    Both merge through _merge; terms(), term_map() and coefficient() build
+    Containers reach the storage through the constructor, which sums (key,
+    coefficient) pairs, and two operations besides the linear structure:
+    rekey moves every term to a new key, and product extends a product of
+    keys bilinearly (scale is the product with a one-term map).  All three
+    merge through _merge; terms(), term_map() and coefficient() build
     ScalarPoly views.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
     _printer: str  # name of the canonical printer in the exprs module
 
-    def __init__(self, terms: Mapping | None = None):
-        """The sum of coeff * key over a map key -> ScalarPoly."""
-        polys: dict = {}
-        for key, c in (terms or {}).items():
-            key = self._key(key)
-            if key is not None:
-                accumulate(polys, key, c)
-        self._terms, self._d = _lift(polys)
+    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+        """The sum of coeff * key over (key, ScalarPoly coeff) pairs, or over a
+        map's items, merged once over the lcm of the denominators.  Every key
+        is checked in input order, also one whose coefficient is zero."""
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        checked = ((self._key(key), c) for key, c in terms or ())
+        pairs = [(key, c) for key, c in checked if key is not None and c._terms]
+        d = lcm(*(c._d for _, c in pairs))
+        out: dict = {}
+        for key, c in pairs:
+            _merge(out, key, c._terms, d // c._d)
+        self._terms = out
+        self._d = _lowest(out.values(), d)
 
     @staticmethod
     def _order(key):
@@ -497,7 +480,8 @@ class TermMap:
         """Every coefficient times the scalar c: the product with c as a one-term map."""
         if c.is_zero():
             return self._new({}, 1)
-        return self.product(_stored(TermMap, *_lift({(): c})), lambda key, _unit: key)
+        # c is in lowest terms, so _stored shares its pairs and divides none of them
+        return self.product(_stored(TermMap, {(): c._terms}, c._d), lambda key, _unit: key)
 
     def subs_h2_zero(self):
         kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate, gaussian
+from .scalars import ExtractionError, ParityError, ScalarPoly, TermMap, gaussian
 
 PairKey = tuple[int, int]
 
@@ -116,12 +116,8 @@ def euler_derivation(g: InvariantPoly) -> InvariantPoly:
     the orientation; with the commutation relation used here the weight of
     the star commutator taken the other way round is i*h1*(q - p).
     """
-    out: dict[PairKey, ScalarPoly] = {}
-    for (p, q), c in g.term_map().items():
-        if p == q:
-            continue
-        out[(p, q)] = ScalarPoly.monomial(GaussianRational.of(0, p - q), 1, 0) * c
-    return InvariantPoly(out)
+    return InvariantPoly(((p, q), ScalarPoly.monomial(gaussian(0, p - q, 1), 1, 0) * c)
+                         for (p, q), c in g.term_map().items() if p != q)
 
 
 def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
@@ -136,16 +132,16 @@ def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
     which matches the normal-ordered identification used by the star
     transport (z before zb), so the h2 -> 0 degeneration is exact.
     """
-    acc: dict[PairKey, ScalarPoly] = {}
-    for (p1, q1), c1 in f.term_map().items():
-        for (p2, q2), c2 in g.term_map().items():
-            base = c1 * c2
-            for k in range(min(q1, p2) + 1):
-                n = perm(q1, k) * perm(p2, k)
-                re, im = ((n, 0), (0, -n), (-n, 0), (0, n))[k % 4]  # n * (-i)^k
-                weight = ScalarPoly.monomial(gaussian(re, im, factorial(k)), k, 0)
-                accumulate(acc, (p1 + p2 - k, q1 + q2 - k), weight * base)
-    return InvariantPoly(acc)
+    def terms():
+        for (p1, q1), c1 in f.term_map().items():
+            for (p2, q2), c2 in g.term_map().items():
+                base = c1 * c2
+                for k in range(min(q1, p2) + 1):
+                    n = perm(q1, k) * perm(p2, k)
+                    re, im = ((n, 0), (0, -n), (-n, 0), (0, n))[k % 4]  # n * (-i)^k
+                    weight = ScalarPoly.monomial(gaussian(re, im, factorial(k)), k, 0)
+                    yield (p1 + p2 - k, q1 + q2 - k), weight * base
+    return InvariantPoly(terms())
 
 
 def symmetric_weyl_terms(

@@ -56,6 +56,17 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert ops.endswith("change better in 0/3 pairs, unresolved at bound 0.25")
 
 
+def test_a_spread_wider_than_the_bound_is_resolved_when_every_change_run_is_better():
+    # the parent's quartiles 80..120 span more than the bound, but the slowest
+    # change run beats the fastest parent run; one run below that is unresolved
+    pairs = [(line(100, 10), line(150, 10)), (line(60, 10), line(145, 10)), (line(140, 10), line(160, 10))]
+    ops = ab_bench.summary(pairs, END_TO_END)[0][-2]
+    assert ops.endswith("change better in 3/3 pairs, better in every run, spread wider than bound 0.25")
+    pairs[0] = (line(100, 10), line(139, 10))
+    ops = ab_bench.summary(pairs, END_TO_END)[0][-2]
+    assert ops.endswith("change better in 3/3 pairs, unresolved at bound 0.25")
+
+
 def test_a_last_line_that_is_not_json_is_a_failed_run(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text("print('{\"correct\": true}')\nprint('Traceback')\n")

@@ -17,9 +17,20 @@ from dunklweyl import algebra, cli, exprs, index, scalars, spherical
 from dunklweyl.algebra import SrcElement, commutator, mul
 from dunklweyl.exprs import parse_element
 from dunklweyl.index import FormPoly, LocalElement
-from dunklweyl.scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, accumulate, gaussian
+from dunklweyl.scalars import ExtractionError, GaussianRational, ParityError, ScalarPoly, TermMap, gaussian
 from dunklweyl.spherical import InvariantPoly
 from tests.conftest import idempotent, scalar_polys
+
+
+def accumulate(out: dict, key, value) -> None:
+    """Add value to out[key], dropping the entry when the sum is zero: how the
+    references below sum, one ScalarPoly addition per repeated key."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 def ih1(mult=1, h2=0):
@@ -312,7 +323,7 @@ def ref_local_star(F: RefLocal, G: RefLocal) -> RefLocal:
         for (b2, p2, q2, e2), c2 in G.term_map().items():
             c = c1 * c2
             fiber = mul(SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2))
-            for bkey, bw in index._base_moyal(b1, b2).items():
+            for bkey, bw in index._base_moyal(b1, b2):
                 for (p, q, eps), fc in fiber.term_map().items():
                     accumulate(out, (bkey, p, q, eps), c * bw * fc)
     return RefLocal(out)
@@ -587,6 +598,61 @@ class TestTermMapStorage:
             assert same == a and hash(same) == hash(a)
             assert same._d == a._d and same._terms == a._terms
 
+    @pytest.mark.parametrize("cls", list(KEYS), ids=lambda c: c.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_built_from_pairs(self, cls, data):
+        # pairs that repeat keys, cancel some keys to nothing and carry zero coefficients
+        first, second = data.draw(term_map_pairs(cls))
+        zeros = [(key, ScalarPoly.zero()) for key in data.draw(st.lists(KEYS[cls], max_size=2))]
+        pairs = data.draw(st.permutations([*first.items(), *second.items(), *zeros]))
+        summed: dict = {}
+        for key, c in pairs:
+            accumulate(summed, key, c)
+        got = build(cls, pairs)
+        assert_agrees(got, build(REFERENCE_OF[cls], summed))
+        for same in (build(cls, summed), build(cls, first) + build(cls, second)):
+            assert same == got and hash(same) == hash(got)
+            assert same._d == got._d and same._terms == got._terms
+
+    def test_repeated_keys_reach_lowest_terms(self):
+        half = ScalarPoly.from_rational(Fraction(1, 2))
+        x = SrcElement.x()
+        assert x._d == 2
+        twice = SrcElement([*x.term_map().items()] * 2)
+        assert twice == x + x and twice._d == 1 and hash(twice) == hash(x + x)
+        one = InvariantPoly([((1, 1), half), ((1, 1), half)])
+        assert one._d == 1 and one._terms == {(1, 1): {(0, 0): (1, 0)}}
+        assert InvariantPoly([((1, 1), half), ((1, 1), -half)]) == InvariantPoly()
+
+    def test_a_bad_key_raises_whatever_its_coefficient(self):
+        zero, one = ScalarPoly.zero(), ScalarPoly.one()
+        with pytest.raises(ParityError, match=r"^monomial z\^1 zb\^0 is not invariant$"):
+            InvariantPoly({(1, 0): zero})
+        # keys are checked in input order: the first bad one is named
+        with pytest.raises(ParityError, match=r"^monomial z\^2 zb\^1 is not invariant$"):
+            InvariantPoly([((0, 0), one), ((2, 1), zero), ((1, 0), one)])
+        with pytest.raises(ValueError, match="bad fiber exponents"):
+            LocalElement([(((), 0, 0, 2), zero)])
+
+    def test_repeated_keys_make_no_scalar_sum(self, monkeypatch):
+        # every operation below meets one key more than once
+        half = ScalarPoly.from_rational(Fraction(1, 2))
+        f = exprs.parse_invariant("z*zb + zb^2")
+        g = exprs.parse_invariant("z*zb + z^2")
+        pq = LocalElement.base_monomial({0: 1, 1: 1})
+        F = LocalElement.from_fiber(parse_element("z*zb + z^2*zb^2")) * pq
+        calls = []
+        add = ScalarPoly.__add__
+        monkeypatch.setattr(ScalarPoly, "__add__", lambda x, y: calls.append(1) or add(x, y))
+        assert not spherical.moyal_star(f, g).is_zero()
+        assert not index.local_star(pq, pq).is_zero()
+        assert not index.local_trace_density(F).is_zero()
+        assert not spherical.euler_derivation(f).is_zero()
+        assert calls == []
+        assert InvariantPoly([((1, 1), half), ((1, 1), half)]) == InvariantPoly.zzbar()
+        assert calls == []
+
     @settings(max_examples=50, deadline=None)
     @given(term_map_pairs(InvariantPoly), term_map_pairs(SrcElement))
     def test_to_element_and_fold(self, inv, elem):
@@ -646,7 +712,7 @@ class TestTermMapStorage:
     def test_only_scalars_and_algebra_know_the_storage(self):
         # a module outside scalars and the kernel of algebra.mul reaches the
         # integer storage only through TermMap's operations
-        hidden = {"_merge", "_stored", "_summed", "_lift", "_view", "_d"}
+        hidden = {"_merge", "_stored", "_summed", "_lift", "accumulate", "_view", "_d"}
 
         def storage_names(source: str) -> set[str]:
             names = set()
@@ -666,7 +732,8 @@ class TestTermMapStorage:
         for path in modules:
             if path.name not in ("scalars.py", "algebra.py"):
                 assert storage_names(path.read_text()) == set(), path.name
-        assert not hasattr(scalars, "_summed")
+        for gone in ("_summed", "_lift", "accumulate"):
+            assert not hasattr(scalars, gone), gone
 
     def test_one_storage(self):
         for cls in KEYS:
