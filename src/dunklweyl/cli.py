@@ -285,18 +285,10 @@ def _run_command(args) -> int:
 
 
 def _local_json(le) -> list:
-    out = []
-    for (base, p, q, eps), c in le.terms():
-        out.append(
-            {
-                "base": {f"{'p' if v % 2 == 0 else 'q'}{v // 2 + 1}": e for v, e in base},
-                "z": p,
-                "zb": q,
-                "g": eps,
-                "coeff": c.to_json(),
-            }
-        )
-    return out
+    from .index import base_var_name
+
+    return [{"base": {base_var_name(v): e for v, e in base}, "z": p, "zb": q, "g": eps, "coeff": c.to_json()}
+            for (base, p, q, eps), c in le.terms()]
 
 
 def main(argv: list[str] | None = None) -> int:

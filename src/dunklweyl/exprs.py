@@ -444,76 +444,45 @@ def _coeff_parts(c: GaussianRational) -> tuple[bool, list[str]]:
     return False, [f"({_rat_str(rn, rd)}{im_part})"]
 
 
-def _append_power(parts: list[str], name: str, exp: int) -> None:
-    if exp == 0:
-        return
-    parts.append(name if exp == 1 else f"{name}^{exp}")
-
-
-def _join_terms(terms: list[tuple[bool, list[str]]]) -> str:
-    if not terms:
-        return "0"
-    pieces = []
-    for idx, (neg, parts) in enumerate(terms):
-        if not parts:
-            parts = ["1"]
-        body = "*".join(parts)
-        if idx == 0:
-            if neg:
-                # keep the output inside the grammar: a leading '-' must
-                # start a rational literal
-                if body[0].isdigit():
-                    pieces.append(f"-{body}")
-                else:
-                    pieces.append(f"-1*{body}")
+def _sum_text(words) -> str:
+    """The canonical text of a sum of scalar * word, from (ScalarPoly, ((name, exponent), ...))
+    pairs in canonical order: one string per printed term, written as the walk reaches it."""
+    out = []
+    for c, word in words:
+        tail = [name if k == 1 else f"{name}^{k}" for name, k in word if k]
+        for (a, b), coeff in c.terms():
+            neg, parts = _coeff_parts(coeff)
+            if a:
+                parts.append("h1" if a == 1 else f"h1^{a}")
+            if b:
+                parts.append("h2" if b == 1 else f"h2^{b}")
+            body = "*".join(parts + tail) or "1"
+            if out:
+                out.append(f" - {body}" if neg else f" + {body}")
+            elif neg:  # a leading '-' must start a rational literal to stay inside the grammar
+                out.append(f"-{body}" if body[0].isdigit() else f"-1*{body}")
             else:
-                pieces.append(body)
-        else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
-
-
-def _scalar_term_entries(sp: ScalarPoly, tail: list[tuple[str, int]]) -> list[tuple[bool, list[str]]]:
-    entries = []
-    for (a, b), c in sp.terms():
-        neg, parts = _coeff_parts(c)
-        parts = list(parts)
-        _append_power(parts, "h1", a)
-        _append_power(parts, "h2", b)
-        for name, exp in tail:
-            _append_power(parts, name, exp)
-        entries.append((neg, parts))
-    return entries
+                out.append(body)
+    return "".join(out) or "0"
 
 
 def scalar_to_text(sp: ScalarPoly) -> str:
-    return _join_terms(_scalar_term_entries(sp, []))
+    return _sum_text(((sp, ()),))
 
 
 def element_to_text(e: SrcElement) -> str:
-    entries = []
-    for (p, q, eps), c in e.terms():
-        entries.extend(_scalar_term_entries(c, [("z", p), ("zb", q), ("g", eps)]))
-    return _join_terms(entries)
+    return _sum_text((c, (("z", p), ("zb", q), ("g", eps))) for (p, q, eps), c in e.terms())
 
 
 def invariant_to_text(f: InvariantPoly) -> str:
-    entries = []
-    for (p, q), c in f.terms():
-        entries.extend(_scalar_term_entries(c, [("z", p), ("zb", q)]))
-    return _join_terms(entries)
+    return _sum_text((c, (("z", p), ("zb", q))) for (p, q), c in f.terms())
 
 
 def local_to_text(le: LocalElement) -> str:
-    entries = []
-    for (base, p, q, eps), c in le.terms():
-        tail = []
-        for v, exp in base:
-            kind = "p" if v % 2 == 0 else "q"
-            tail.append((f"{kind}{v // 2 + 1}", exp))
-        tail.extend([("z", p), ("zb", q), ("g", eps)])
-        entries.extend(_scalar_term_entries(c, tail))
-    return _join_terms(entries)
+    from .index import base_var_name
+
+    return _sum_text((c, (*((base_var_name(v), k) for v, k in base), ("z", p), ("zb", q), ("g", eps)))
+                     for (base, p, q, eps), c in le.terms())
 
 
 def form_to_text(fp) -> str:

@@ -201,6 +201,11 @@ def base_var_id(kind: str, i: int) -> int:
     return 2 * (i - 1) + (0 if kind == "p" else 1)
 
 
+def base_var_name(v: int) -> str:
+    """The spelling p<i> or q<i> of variable id v, the inverse of base_var_id."""
+    return f"{'q' if v % 2 else 'p'}{v // 2 + 1}"
+
+
 class LocalElement(TermMap):
     """Element of the local model: base Weyl monomials tensor fiber words."""
 

@@ -61,7 +61,7 @@ class InvariantPoly(TermMap):
     # -- queries -------------------------------------------------------
 
     def degree(self) -> int:
-        return max((p + q for (p, q) in self._terms), default=0)
+        return max((p + q for p, q in self.term_map()), default=0)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -28,6 +28,9 @@ from .trace import ch_phi, phi, trace_defect
 class RunConfig(NamedTuple):
     """Knobs shared by the CLI and the suites; defaults are deterministic.
 
+    degree is read by the trace, hh0, degeneration and euler suites, order by
+    chphi only and seed by series and roundtrip; series always runs at order 8,
+    roundtrip at degree 8, and relations reads none.  Reports echo every knob.
     The report's config also carries "jobs": 1 and "h2_zero": false, fixed
     values kept so that dunkl-report/1 stays byte-identical.
     """

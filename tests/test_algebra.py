@@ -712,7 +712,7 @@ class TestTermMapStorage:
     def test_only_scalars_and_algebra_know_the_storage(self):
         # a module outside scalars and the kernel of algebra.mul reaches the
         # integer storage only through TermMap's operations
-        hidden = {"_merge", "_stored", "_summed", "_lift", "accumulate", "_view", "_d"}
+        hidden = {"_merge", "_stored", "_summed", "_lift", "accumulate", "_view", "_d", "_terms"}
 
         def storage_names(source: str) -> set[str]:
             names = set()

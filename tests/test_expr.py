@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,14 @@ from dunklweyl.exprs import (
     eval_local,
     invariant_to_text,
     json_text,
+    local_to_text,
     parse,
     parse_element,
     parse_invariant,
     parse_scalar,
     scalar_to_text,
 )
+from dunklweyl.index import local_trace_density
 from dunklweyl.scalars import GaussianRational, ScalarPoly
 from dunklweyl.spherical import InvariantPoly
 
@@ -314,7 +317,45 @@ class TestProductRule:
         assert outcome(parse_element, src) == outcome(lambda s: folded(parse(s)), src)
 
 
+def local_density(src: str):
+    """The localtrace value of src with one base pair."""
+    return local_trace_density(eval_local(parse(src), 1))
+
+
+# (printer, reader, input, the canonical text): the first term carries its own
+# sign, as a numeral's '-' or as '-1*'; later terms are joined by ' + ' or ' - '
+SIGN_RULES = [
+    (element_to_text, parse_element, "-2*z", "-2*z"),
+    (element_to_text, parse_element, "-1*i", "-1*i"),
+    (scalar_to_text, parse_scalar, "-2*h1 + i*h2", "i*h2 - 2*h1"),
+    (scalar_to_text, parse_scalar, "-1*i*h2^2 + (1-i)", "(1-i) - i*h2^2"),
+    (scalar_to_text, parse_scalar, "0*h1", "0"),
+    (invariant_to_text, parse_invariant, "-2*z*zb + z^2", "-2*z*zb + z^2"),
+    (invariant_to_text, parse_invariant, "-1*i*z^2*zb^2 - h1", "-1*h1 - i*z^2*zb^2"),
+    (local_to_text, local_density, "i*q1*z^2*zb^2 - p1",
+     "-1*p1 - 1/2*i*h1^2*q1 - 2/3*i*h1^2*h2*q1 + 2/3*i*h1^2*h2^2*q1"),
+]
+
+
 class TestPrint:
+    @pytest.mark.parametrize("printer, read, src, text", SIGN_RULES, ids=[row[2] for row in SIGN_RULES])
+    def test_sign_rules(self, printer, read, src, text):
+        value = read(src)
+        assert printer(value) == text == value.to_text()
+
+    @pytest.mark.parametrize("src, budget", [("zb^100*z^100", 3.5), ("(z+zb+g)^24", 8)])
+    def test_printing_holds_about_one_copy_of_the_text(self, src, budget):
+        # each printed term is one string as the walk reaches it, joined once
+        e = parse_element(src)
+        text = element_to_text(e)  # warm
+        tracemalloc.start()
+        try:
+            element_to_text(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * len(text), peak / len(text)
+
     def test_unit(self):
         assert element_to_text(SrcElement.one()) == "1"
         assert scalar_to_text(ScalarPoly.zero()) == "0"
