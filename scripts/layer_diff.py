@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Per-layer metrics of one traced benchmark run in each of two checkouts, side by side.
+"""Per-layer metrics of traced benchmark runs in each of two checkouts, side by side.
 
-    python3 scripts/layer_diff.py PARENT_DIR CHANGE_DIR --workload W --seed S
+    python3 scripts/layer_diff.py PARENT_DIR CHANGE_DIR --workload W --seed S [S ...]
 
 PARENT_DIR and CHANGE_DIR are checkouts, as for scripts/ab_bench.py.  Each
-runs `bench/run.py --trace 1` once at seed S, the parent first, through
-ab_bench's `run`.  Then one line per per-layer metric of
-CHANGE_DIR/BENCHMARK.json gives both values and the relative change, marked
-`WORSE` when the metric moved more than 10% against its `better`: such a move
-needs an explanation.  A last line names every marked metric.  The exit
-status is 1 when a run is not correct, else 0.  Stdlib only.
+runs `bench/run.py --trace 1` once per seed S, through ab_bench's `run`; the
+seeds run in turn, and the checkouts alternate going first, the parent at the
+first seed.  Then one line per per-layer metric of CHANGE_DIR/BENCHMARK.json
+gives each side's median over its runs and the relative change of the
+medians, marked `WORSE` when the metric moved more than 10% against its
+`better`: such a move needs an explanation.  One traced run cannot resolve a
+10% move of a self time, so give several seeds.  A last line names every
+marked metric.  The exit status is 1 when a run is not correct, else 0.
+Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -35,6 +39,14 @@ def _relative(parent: float, change: float) -> float:
     if parent:
         return (change - parent) / abs(parent)
     return 0.0 if change == parent else float("inf") if change > parent else float("-inf")
+
+
+def medians(results: list[dict]) -> dict:
+    """A result line holding each metric's median over the results that report it."""
+    names = {name for result in results for name in result.get("metrics", {})}
+    return {"metrics": {name: {"value": statistics.median(v for result in results
+                                                          if (v := _value(result, name)) is not None)}
+                        for name in names}}
 
 
 def report(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
@@ -63,19 +75,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    results = {side: json.loads(ab_bench.run(getattr(args, side), args.workload, args.seed,
-                                             spec["run_seconds"], trace=1))
-               for side in ab_bench.SIDES}
-    print(f"workload {args.workload}, seed {args.seed}, one traced run per checkout")
+    results: dict[str, list[dict]] = {side: [] for side in ab_bench.SIDES}
+    for i, seed in enumerate(args.seed):
+        for side in ab_bench.SIDES[::-1] if i % 2 else ab_bench.SIDES:
+            results[side].append(json.loads(ab_bench.run(getattr(args, side), args.workload, seed,
+                                                         spec["run_seconds"], trace=1)))
+    if len(args.seed) == 1:
+        print(f"workload {args.workload}, seed {args.seed[0]}, one traced run per checkout")
+    else:
+        seeds = " ".join(map(str, args.seed))
+        print(f"workload {args.workload}, seeds {seeds}, medians of {len(args.seed)} traced runs per checkout")
     status = 0
-    for side, result in results.items():
-        if not result.get("correct") or result.get("failed"):
-            print(f"{side}: correct={result.get('correct')} failed={result.get('failed')}")
-            status = 1
-    print("\n".join(report(results["parent"], results["change"], spec["per_layer"])))
+    for side, runs in results.items():
+        for result in runs:
+            if not result.get("correct") or result.get("failed"):
+                print(f"{side}: correct={result.get('correct')} failed={result.get('failed')}")
+                status = 1
+    print("\n".join(report(medians(results["parent"]), medians(results["change"]), spec["per_layer"])))
     return status
 
 

@@ -9,16 +9,16 @@ Every element has a unique normal form as a finite sum c * z^p * zb^q * g^eps.
 An element stores its coefficients as integer pairs over one denominator.
 Multiplication reorders each zb^q * z^p by the Dunkl-operator action of zb on
 powers of z.  _reorder returns that normal form as integer tables, behind a
-bounded cache keyed by (q, p) that keeps only small tables; mul spreads the
-integer pairs of one ScalarPoly product per term pair over the table into one
-integer accumulator and divides out its content once at the end.
+bounded cache keyed by (q, p) that keeps only small tables; mul is one
+TermMap.product, which spreads one ScalarPoly product per term pair over the
+pair's table, keyed and signed by _spread.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import GR_ONE, GaussianRational, ScalarPoly, TermMap, _stored, _view, gaussian
+from .scalars import GR_ONE, GaussianRational, ScalarPoly, TermMap, _stored, gaussian
 
 TermKey = tuple[int, int, int]  # (z exponent, zb exponent, g exponent in {0,1})
 
@@ -161,42 +161,18 @@ class SrcElement(TermMap):
 
 
 def mul(a: SrcElement, b: SrcElement) -> SrcElement:
-    """Exact product in normal form: one ScalarPoly product per term pair, of
-    the terms' Gaussian-integer numerators, whose pairs are spread over the
-    pair's _reorder table into {(p, q, eps): {(h1, h2): [r, s]}} over a._d * b._d."""
-    right = [(key, _view(cells, 1)) for key, cells in b._terms.items()]
-    acc: dict[TermKey, dict] = {}
-    for (p1, q1, e1), cells1 in a._terms.items():
-        n1 = _view(cells1, 1)
-        for (p2, q2, e2), n2 in right:
-            prod = (n1 * n2)._terms.items()
-            # a row entry n stands for i^(k % 2) * n: for odd k the pairs are turned by i
-            turns = ([(h1, h2, r, s) for (h1, h2), (r, s) in prod], [(h1, h2, -s, r) for (h1, h2), (r, s) in prod])
-            # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
-            flip = e1 == 1 and (p2 + q2) % 2 == 1
-            for x, y, eps, k, row in _reorder(q1, p2):
-                key = (p1 + x, y + q2, eps ^ e1 ^ e2)
-                cells = acc.get(key)
-                if cells is None:
-                    cells = acc[key] = {}
-                # the inner g (if any) still has to cross zb^q2
-                sign = -1 if flip != (eps == 1 and q2 % 2 == 1) else 1
-                for j, n in row:
-                    n *= sign
-                    for h1, h2, r, s in turns[k % 2]:
-                        hk = (h1 + k, h2 + j)
-                        cell = cells.get(hk)
-                        if cell is None:
-                            cells[hk] = [r * n, s * n]
-                        else:
-                            cell[0] += r * n
-                            cell[1] += s * n
-    # Each group gives way to its nonzero pairs in place, so no second copy builds up.
-    for key, cells in acc.items():
-        acc[key] = {hk: (r, s) for hk, (r, s) in cells.items() if r or s}
-    for key in [key for key, cells in acc.items() if not cells]:
-        del acc[key]
-    return _stored(SrcElement, acc, a._d * b._d)
+    """Exact product in normal form: each term pair spread over its _reorder table."""
+    return a.product(b, _spread)
+
+
+def _spread(k1: TermKey, k2: TermKey) -> list[tuple]:
+    """The entries of z^p1 zb^q1 g^e1 * z^p2 zb^q2 g^e2: the rows of _reorder(q1, p2), keyed and signed."""
+    (p1, q1, e1), (p2, q2, e2) = k1, k2
+    # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
+    flip = e1 == 1 and (p2 + q2) % 2 == 1
+    # the inner g (if any) still has to cross zb^q2
+    return [((p1 + x, y + q2, eps ^ e1 ^ e2), -1 if flip != (eps == 1 and q2 % 2 == 1) else 1, k, row)
+            for x, y, eps, k, row in _reorder(q1, p2)]
 
 
 def commutator(a: SrcElement, b: SrcElement) -> SrcElement:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from . import algebra
 from .algebra import SrcElement
-from .scalars import ScalarPoly, TermMap, TruncSeries, gaussian, series_exp, series_inverse
+from .scalars import ScalarPoly, TermMap, TruncSeries, gaussian, one_key, series_exp, series_inverse
 from .spherical import ParityError, symmetric_weyl_terms
 from .trace import ch_phi, class_scalars
 
@@ -95,7 +95,7 @@ class FormPoly(TermMap):
 
     def __mul__(self, other: "FormPoly") -> "FormPoly":
         low, high = sorted((self, other), key=lambda f: f.max_form_degree)
-        return low.product(high, lambda k1, k2: _product_key(k1, k2, low.max_form_degree))
+        return low.product(high, lambda k1, k2: one_key(_product_key(k1, k2, low.max_form_degree)))
 
     def __repr__(self) -> str:
         return f"FormPoly({self.to_text()}, max_form_degree={self.max_form_degree})"

@@ -389,6 +389,11 @@ def _stored(cls, terms: dict, d: int):
     return out
 
 
+def one_key(key) -> tuple:
+    """The spread of a product of keys that is key alone: one entry, or none for a None key."""
+    return () if key is None else ((key, 1, 0, ((0, 1),)),)
+
+
 class TermMap:
     """Sparse map from monomial keys to nonzero scalars in Q(i)[h1^+-1, h2].
 
@@ -403,10 +408,11 @@ class TermMap:
 
     Containers reach the storage through the constructor, which sums (key,
     coefficient) pairs, and two operations besides the linear structure:
-    rekey moves every term to a new key, and product extends a product of
-    keys bilinearly (scale is the product with a one-term map).  All three
-    merge through _merge; terms(), term_map() and coefficient() build
-    ScalarPoly views.  Instances are treated as immutable.
+    rekey moves every term to a new key, and product, the one bilinear kernel,
+    spreads each product of keys over weighted keys (mul, star, the FormPoly
+    product and scale are each one call).  The constructor and rekey merge
+    through _merge; terms(), term_map() and coefficient() build ScalarPoly
+    views.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
@@ -481,7 +487,7 @@ class TermMap:
         if c.is_zero():
             return self._new({}, 1)
         # c is in lowest terms, so _stored shares its pairs and divides none of them
-        return self.product(_stored(TermMap, {(): c._terms}, c._d), lambda key, _unit: key)
+        return self.product(_stored(TermMap, {(): c._terms}, c._d), lambda key, _unit: one_key(key))
 
     def subs_h2_zero(self):
         kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}
@@ -500,22 +506,45 @@ class TermMap:
                 _merge(out, new, self._terms[key])
         return self._new(out, self._d) if cls is None else _stored(cls, out, self._d)
 
-    def product(self, other, key_of):
-        """The bilinear product whose product of keys k1, k2 is key_of(k1, k2).
+    def product(self, other, spread):
+        """The bilinear product that spreads the product of keys k1, k2 over spread(k1, k2).
 
-        Each pair of terms makes one ScalarPoly product of their Gaussian-integer
-        numerators, merged under its key over self._d * other._d; a None key
-        drops the pair before its product is made.  Built as self.
+        spread gives entries (key, sign, k, row), each standing for sign * i^(k % 2) *
+        h1^k * sum n * h2^j over the (j, n) in row, times key.  A pair of terms with an
+        entry makes one ScalarPoly product of their Gaussian-integer numerators, whose
+        pairs (turned by i for odd k) go one row entry at a time into one integer
+        accumulator over self._d * other._d.  Built as self.
         """
         right = [(key, _view(cells, 1)) for key, cells in other._terms.items()]
-        out: dict = {}
-        for k1, cells in self._terms.items():
-            n1 = _view(cells, 1)
+        acc: dict = {}
+        for k1, cells1 in self._terms.items():
+            n1 = _view(cells1, 1)
             for k2, n2 in right:
-                key = key_of(k1, k2)
-                if key is not None:
-                    _merge(out, key, (n1 * n2)._terms)
-        return self._new(out, self._d * other._d)
+                entries = spread(k1, k2)
+                if not entries:
+                    continue
+                prod = (n1 * n2)._terms.items()
+                turns = ([(h1, h2, r, s) for (h1, h2), (r, s) in prod], [(h1, h2, -s, r) for (h1, h2), (r, s) in prod])
+                for key, sign, k, row in entries:
+                    cells = acc.get(key)
+                    if cells is None:
+                        cells = acc[key] = {}
+                    for j, n in row:
+                        n *= sign
+                        for h1, h2, r, s in turns[k % 2]:
+                            hk = (h1 + k, h2 + j)
+                            cell = cells.get(hk)
+                            if cell is None:
+                                cells[hk] = [r * n, s * n]
+                            else:
+                                cell[0] += r * n
+                                cell[1] += s * n
+        # each group gives way to its nonzero pairs in place, so no second copy builds up
+        for key, cells in acc.items():
+            acc[key] = {hk: (r, s) for hk, (r, s) in cells.items() if r or s}
+        for key in [key for key, cells in acc.items() if not cells]:
+            del acc[key]
+        return self._new(acc, self._d * other._d)
 
     # -- protocol ------------------------------------------------------
 

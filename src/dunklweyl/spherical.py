@@ -4,7 +4,7 @@ Invariant polynomials in z, zb (every monomial of even total degree) form a
 subalgebra once identified with the corner cut out by the idempotent
 e = (1+g)/2: the polynomial f corresponds to f*e, and the product of the big
 algebra transports to a star product on invariant polynomials.  Extraction
-folds the reflection generator onto the identity (g*e = e).
+folds the reflection generator onto the identity (g*e = e) inside the product.
 
 An independent closed-form Moyal product on the same polynomials serves as
 the degeneration oracle at h2 = 0.
@@ -63,18 +63,6 @@ class InvariantPoly(TermMap):
     def degree(self) -> int:
         return max((p + q for p, q in self.term_map()), default=0)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def poly_mul(self, other: "InvariantPoly") -> "InvariantPoly":
-        """Plain commutative polynomial product (no star corrections)."""
-        return self.product(other, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
-
-    def poly_pow(self, n: int) -> "InvariantPoly":
-        out = InvariantPoly.one()
-        for _ in range(n):
-            out = out.poly_mul(self)
-        return out
-
     def to_element(self) -> SrcElement:
         """The normal-form word with the same exponents (reflection-free)."""
         return self.rekey(lambda key: (*key, 0), SrcElement)
@@ -83,26 +71,24 @@ class InvariantPoly(TermMap):
         return [{"z": p, "zb": q, "coeff": c.to_json()} for (p, q), c in self.terms()]
 
 
-def _fold_key(key: algebra.TermKey) -> PairKey:
-    p, q, _eps = key
-    if (p + q) % 2 != 0:
-        raise ExtractionError(f"non-invariant residue z^{p} zb^{q}")
-    return (p, q)
-
-
-def _fold(e: SrcElement) -> InvariantPoly:
-    """Fold g onto 1 (g*e = e) and read off the invariant polynomial."""
-    return e.rekey(_fold_key, InvariantPoly)
+def _corner_spread(k1: PairKey, k2: PairKey) -> list[tuple]:
+    """The rows of _reorder(q1, p2) keyed by (p, q) alone: g*e = e, so the rows with g and without meet."""
+    (p1, q1), (p2, q2) = k1, k2
+    if (p1 + q1 + p2 + q2) % 2 != 0:
+        raise ExtractionError(f"non-invariant residue z^{p1 + p2} zb^{q1 + q2}")
+    # a g left by a Dunkl move crosses zb^q2 on its way to e
+    return [((p1 + x, y + q2), -1 if eps == 1 and q2 % 2 == 1 else 1, k, row)
+            for x, y, eps, k, row in algebra._reorder(q1, p2)]
 
 
 def star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
     """The induced star product: the unique h with h*e = (f*e)*(g*e), e = (1+g)/2.
 
-    Computed by multiplying the reflection-free words in the big algebra and
-    folding the reflection generator; on the invariant corner the fold is a
-    homomorphism, so this agrees with corner multiplication.
+    The product of the reflection-free words in the big algebra with the
+    reflection generator folded onto 1 as it is made; on the invariant corner
+    the fold is a homomorphism, so this agrees with corner multiplication.
     """
-    return _fold(algebra.mul(f.to_element(), g.to_element()))
+    return f.product(g, _corner_spread)
 
 
 def star_commutator(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:

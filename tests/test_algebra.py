@@ -335,14 +335,6 @@ def ref_local_star(F: RefLocal, G: RefLocal) -> RefLocal:
 # scale is RefTermMap.scale, the same dict of ScalarPoly products.
 
 
-def ref_poly_mul(f: RefInvariant, g: RefInvariant) -> RefInvariant:
-    out = {}
-    for (p1, q1), c1 in f.term_map().items():
-        for (p2, q2), c2 in g.term_map().items():
-            accumulate(out, (p1 + p2, q1 + q2), c1 * c2)
-    return RefInvariant(out)
-
-
 def ref_merge_exponents(k1: tuple, k2: tuple) -> tuple:
     acc: dict = {}
     for v, e in k1 + k2:
@@ -654,26 +646,39 @@ class TestTermMapStorage:
         assert calls == []
 
     @settings(max_examples=50, deadline=None)
-    @given(term_map_pairs(InvariantPoly), term_map_pairs(SrcElement))
-    def test_to_element_and_fold(self, inv, elem):
+    @given(term_map_pairs(InvariantPoly))
+    def test_to_element_and_fold(self, inv):
         f = InvariantPoly(inv[0]) - InvariantPoly(inv[1])
         rf = RefInvariant(inv[0]) - RefInvariant(inv[1])
         assert_agrees(f.to_element(), ref_to_element(rf))
-        # the g-flipped partner cancels terms and pairs across the fold
-        e = SrcElement(elem[0]) + SrcElement(flip_eps(elem[1]))
-        re_ = RefElement(elem[0]) + RefElement(flip_eps(elem[1]))
-        try:
-            want = ref_fold(re_)
-        except ExtractionError:
-            with pytest.raises(ExtractionError) as got:
-                spherical._fold(e)
-            p, q = first_odd(key[:2] for key, _c in re_.terms())
-            assert str(got.value) == f"non-invariant residue z^{p} zb^{q}"
-        else:
-            assert_agrees(spherical._fold(e), want)
-        even = {key: c for key, c in elem[0].items() if (key[0] + key[1]) % 2 == 0}
-        assert_agrees(spherical._fold(SrcElement(even) - SrcElement(flip_eps(even))),
-                      ref_fold(RefElement(even) - RefElement(flip_eps(even))))
+
+    @settings(max_examples=50, deadline=None)
+    @given(term_map_pairs(InvariantPoly), term_map_pairs(InvariantPoly))
+    def test_star_is_the_folded_product(self, one, two):
+        # multi-term factors, whose g-carrying rows cancel terms and pairs across the fold
+        for f_terms, g_terms in ((one[0], two[0]), (one[1], two[1]), (one[0], one[1])):
+            rf, rg = RefInvariant(f_terms), RefInvariant(g_terms)
+            want = ref_fold(ref_kernel_mul(ref_to_element(rf), ref_to_element(rg)))
+            assert_agrees(spherical.star(InvariantPoly(f_terms), InvariantPoly(g_terms)), want)
+
+    def test_a_product_off_the_corner_names_its_residue(self):
+        # only forced storage holds an odd key; the message is the one the old fold gave
+        z = scalars._stored(InvariantPoly, {(1, 0): {(0, 0): (1, 0)}}, 1)
+        with pytest.raises(ExtractionError, match=r"^non-invariant residue z\^2 zb\^1$"):
+            spherical.star(z, InvariantPoly.zzbar())
+
+    def test_star_makes_no_element_and_no_mul(self, monkeypatch):
+        f = exprs.parse_invariant("z^2*zb^2 + 1/3*i*h1*z*zb - h2 + zb^2")
+        g = exprs.parse_invariant("(2 - h2)*z*zb + z^2 + 5*h1")
+        want = [spherical.star(f, g), spherical.star(g, f), spherical.star(f, f)]
+
+        def refuse(*_args):
+            raise AssertionError("star left the corner")
+
+        monkeypatch.setattr(algebra, "mul", refuse)
+        monkeypatch.setattr(InvariantPoly, "to_element", refuse)
+        assert [spherical.star(f, g), spherical.star(g, f), spherical.star(f, f)] == want
+        assert not want[0].is_zero()
 
     @settings(max_examples=50, deadline=None)
     @given(term_map_pairs(LocalElement))
@@ -701,7 +706,6 @@ class TestTermMapStorage:
         monkeypatch.setattr(scalars, "_scalar", no_view)
         monkeypatch.setattr(ScalarPoly, "__init__", no_view)
         assert not f.to_element().is_zero()
-        assert not spherical._fold(e).is_zero()
         assert not index.fiber_fold(F).is_zero()
         assert not LocalElement.from_fiber(e).is_zero()
         assert InvariantPoly.from_element(g_free) == f
@@ -710,7 +714,7 @@ class TestTermMapStorage:
         assert total == truncated and total.max_form_degree == 2
 
     def test_only_scalars_and_algebra_know_the_storage(self):
-        # a module outside scalars and the kernel of algebra.mul reaches the
+        # a module outside scalars and algebra's constructors reaches the
         # integer storage only through TermMap's operations
         hidden = {"_merge", "_stored", "_summed", "_lift", "accumulate", "_view", "_d", "_terms"}
 
@@ -732,6 +736,8 @@ class TestTermMapStorage:
         for path in modules:
             if path.name not in ("scalars.py", "algebra.py"):
                 assert storage_names(path.read_text()) == set(), path.name
+        # algebra builds its constructors' storage; the product kernel lives in TermMap.product
+        assert storage_names((package / "algebra.py").read_text()) <= {"_stored", "_d", "_terms"}
         for gone in ("_summed", "_lift", "accumulate"):
             assert not hasattr(scalars, gone), gone
 
@@ -753,15 +759,6 @@ ODD_PAIRS = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda k: (k[0],
 class TestRekeyAndProductAgainstReference:
     """The ports onto TermMap.rekey and TermMap.product against the view-based
     code they replace, on values, term order, text and JSON."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(term_map_pairs(InvariantPoly))
-    def test_poly_mul(self, pair):
-        f, g = InvariantPoly(pair[0]), InvariantPoly(pair[1])
-        rf, rg = RefInvariant(pair[0]), RefInvariant(pair[1])
-        assert_agrees(f.poly_mul(g), ref_poly_mul(rf, rg))
-        # (f + g)(f - g): the cross terms cancel key by key
-        assert_agrees((f + g).poly_mul(f - g), ref_poly_mul(rf + rg, rf - rg))
 
     @settings(max_examples=40, deadline=None)
     @given(term_map_pairs(FormPoly), FORM_DEGREES, FORM_DEGREES, FORM_DEGREES, COEFFS)

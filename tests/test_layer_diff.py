@@ -58,3 +58,44 @@ def test_runs_go_through_ab_bench_with_the_trace_argument(tmp_path):
     line = json.loads(layer_diff.ab_bench.run(tmp_path, "deep_nf", 3, 30, trace=1))
     assert line["argv"] == ["--workload", "deep_nf", "--seed", "3", "--seconds", "30", "--trace", "1"]
     assert json.loads(layer_diff.ab_bench.run(tmp_path, "deep_nf", 3, 30))["argv"][-2:] == ["--trace", "0"]
+
+
+def test_medians_per_metric_over_the_runs_that_report_it():
+    runs = [result(algebra__mul__calls=1093, algebra__mul__self_s=0.30),
+            result(algebra__mul__calls=1093, algebra__mul__self_s=0.50),
+            result(algebra__mul__calls=1093, algebra__mul__self_s=0.20, suites__cases=85),
+            {"correct": False, "error": "killed"}]
+    got = layer_diff.medians(runs)["metrics"]
+    assert got == {"algebra.mul.calls": {"value": 1093}, "algebra.mul.self_s": {"value": 0.30},
+                   "suites.cases": {"value": 85}}
+    # one run is its own median, so one seed reports as before
+    assert layer_diff.medians(runs[:1]) == {"metrics": {name: {"value": m["value"]}
+                                                        for name, m in runs[0]["metrics"].items()}}
+
+
+def test_seeds_alternate_which_checkout_goes_first(tmp_path, capsys):
+    # stand-in checkouts whose bench/run.py logs the order of runs and reports its seed as the metric
+    log = tmp_path / "log"
+    for side, offset in (("parent", 0), ("change", 100)):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 30, "per_layer": [{"name": "algebra.mul.calls", "unit": "count", "better": "lower"}]}))
+        (tmp_path / side / "bench" / "run.py").write_text(
+            "import json, sys\n"
+            "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            f"open({str(log)!r}, 'a').write('{side} %d\\n' % seed)\n"
+            f"print(json.dumps({{'correct': True, 'failed': 0, "
+            f"'metrics': {{'algebra.mul.calls': {{'value': seed + {offset}}}}}}}))\n")
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "verify_all", "--seed"]
+    assert layer_diff.main(args + ["1", "2", "6"]) == 0
+    assert log.read_text().split("\n")[:-1] == ["parent 1", "change 1", "change 2", "parent 2", "parent 6", "change 6"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "workload verify_all, seeds 1 2 6, medians of 3 traced runs per checkout"
+    # medians 2 and 102
+    assert lines[1].split() == ["algebra.mul.calls", "2", "102", "+5000.0%", "WORSE", "(lower", "is", "better)"]
+    log.unlink()
+    assert layer_diff.main(args + ["4"]) == 0
+    assert log.read_text() == "parent 4\nchange 4\n"
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "workload verify_all, seed 4, one traced run per checkout",
+        "algebra.mul.calls             4           104  +2500.0%  WORSE (lower is better)"]
