@@ -44,6 +44,7 @@ CALLS = [
     ["index", "--n", "4", "--rt", "A", "--rn", "N", "--h2-zero"],
     ["localtrace", "--n", "2", "p1*q1*z*zb"], ["localtrace", "--n", "2", "p1^2*q1*z^3*zb^3 + g*z^2"],
     ["localtrace", "--n", "3", "p1*q2*z^4*zb^4", "--h2-zero"],
+    ["localtrace", "--n", "3", "(p1+q1+z*zb+p2*q2)^4"], ["localtrace", "--n", "2", "(p1*z+q1*zb)^2*(q1+g*z*zb)"],
     *(["verify", "--suite", suite] for suite in
       ("relations", "trace", "hh0", "degeneration", "euler", "chphi", "series", "roundtrip", "all")),
     ["verify", "--suite", "trace", "--degree", "10", "--seed", "3"],

@@ -171,7 +171,7 @@ def _spread(k1: TermKey, k2: TermKey) -> list[tuple]:
     # g^e1 crosses z^p2 zb^q2, picking up a sign per generator crossed
     flip = e1 == 1 and (p2 + q2) % 2 == 1
     # the inner g (if any) still has to cross zb^q2
-    return [((p1 + x, y + q2, eps ^ e1 ^ e2), -1 if flip != (eps == 1 and q2 % 2 == 1) else 1, k, row)
+    return [((p1 + x, y + q2, eps ^ e1 ^ e2), -1 if flip != (eps == 1 and q2 % 2 == 1) else 1, k, k % 2, row)
             for x, y, eps, k, row in _reorder(q1, p2)]
 
 

@@ -11,19 +11,19 @@ one loop that sums a series' coefficients times powers of a form.
 
 The local model is the Weyl algebra on n-1 base pairs (p_i, q_i) with
 [p_i, q_j] = h1*delta_ij tensored with the reflection algebra in the fiber
-variables z, zb.  Its trace density applies the spherical trace fiberwise
+variables z, zb.  Its product is one TermMap.product whose spread crosses
+the integer base weights of symmetric_weyl_terms with the fiber entries of
+algebra._spread.  Its trace density applies the spherical trace fiberwise
 and returns a base polynomial.
 """
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Iterable, Mapping
+from math import factorial, perm, prod
+from typing import Iterable, Iterator, Mapping
 
 from . import algebra
-from .algebra import SrcElement
-from .scalars import ScalarPoly, TermMap, TruncSeries, gaussian, one_key, series_exp, series_inverse
-from .spherical import ParityError, symmetric_weyl_terms
+from .scalars import ParityError, ScalarPoly, TermMap, TruncSeries, gaussian, one_key, series_exp, series_inverse
 from .trace import ch_phi, class_scalars
 
 SymKey = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...)
@@ -239,7 +239,7 @@ class LocalElement(TermMap):
         return LocalElement.base_monomial({base_var_id(kind, i): power})
 
     @staticmethod
-    def from_fiber(e: SrcElement) -> "LocalElement":
+    def from_fiber(e: algebra.SrcElement) -> "LocalElement":
         return e.rekey(lambda key: ((), *key), LocalElement)
 
     # -- structure -----------------------------------------------------
@@ -248,37 +248,51 @@ class LocalElement(TermMap):
         return local_star(self, other)
 
 
-def _base_moyal(e1: BaseKey, e2: BaseKey) -> list[tuple[BaseKey, ScalarPoly]]:
-    """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1, as
-    (key, weight) pairs; a key may repeat and keep zero exponents, which
-    LocalElement's key check sums and drops."""
-    d1, d2 = dict(e1), dict(e2)
-    # partial products over the pairs seen so far: (base key, weight n/d, h1 power)
+def symmetric_weyl_terms(p1: int, q1: int, p2: int, q2: int) -> Iterator[tuple[int, int, int, int]]:
+    """The Weyl-symmetric product of x^p1 y^q1 and x^p2 y^q2, term by term.
+
+    With [x, y] = 2*s, the product is the sum over the yielded (a, b, n, d)
+    of (n/d) * s^(a+b) * x^(p1+p2-a-b) * y^(q1+q2-a-b): a contractions of
+    x on the left with y on the right, b of y on the left with x on the
+    right, weighted by falling factorials over d = a!*b! and the sign (-1)^b.
+    """
+    for a in range(min(p1, q2) + 1):
+        for b in range(min(q1, p2) + 1):
+            n = perm(p1, a) * perm(q1, b) * perm(q2, a) * perm(p2, b)
+            yield a, b, -n if b % 2 == 1 else n, factorial(a) * factorial(b)
+
+
+def _base_weights(b1: BaseKey, b2: BaseKey, den: int) -> list[tuple[BaseKey, int, int]]:
+    """Symmetric-ordering Weyl product of base monomials, [p_i, q_i] = h1 = 2*s, as
+    (canonical key, integer weight over den, h1 power) triples; a key may repeat."""
+    d1, d2 = dict(b1), dict(b2)
+    # partial products over the pairs seen so far: (key, weight n/d, h1 power)
     results: list[tuple[BaseKey, int, int, int]] = [((), 1, 1, 0)]
     for i in sorted({v // 2 for v in d1} | {v // 2 for v in d2}):
         pv, qv = 2 * i, 2 * i + 1
         p1, q1, p2, q2 = d1.get(pv, 0), d1.get(qv, 0), d2.get(pv, 0), d2.get(qv, 0)
-        step = [
-            (((pv, p1 + p2 - a - b), (qv, q1 + q2 - a - b)), n, d * 2 ** (a + b), a + b)
-            for a, b, n, d in symmetric_weyl_terms(p1, q1, p2, q2)
-        ]
+        step = [(tuple((v, e) for v, e in ((pv, p1 + p2 - a - b), (qv, q1 + q2 - a - b)) if e),
+                 n, d << (a + b), a + b) for a, b, n, d in symmetric_weyl_terms(p1, q1, p2, q2)]
         results = [(k + sk, n * sn, d * sd, h + sh) for k, n, d, h in results for sk, sn, sd, sh in step]
-    return [(key, ScalarPoly.monomial(gaussian(n, 0, d), h, 0)) for key, n, d, h in results]
+    return [(key, n * (den // d), h) for key, n, d, h in results]
 
 
 def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
-    """Base Weyl product tensored with the fiber reflection-algebra product."""
-    def terms():
-        for (b1, p1, q1, e1), c1 in F.term_map().items():
-            for (b2, p2, q2, e2), c2 in G.term_map().items():
-                c = c1 * c2
-                fiber = algebra.mul(
-                    SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2)
-                ).term_map()
-                for bkey, bw in _base_moyal(b1, b2):
-                    for (p, q, eps), fc in fiber.items():
-                        yield (bkey, p, q, eps), c * bw * fc
-    return LocalElement(terms())
+    """Base Weyl product tensored with the fiber product: one TermMap.product of F / den
+    and G.  den is a multiple of every a! b! 2^(a+b) of the base weights: a contracts p_i
+    on the left with q_i on the right, so it is at most the smaller of their largest
+    exponents, and b likewise (base variable v ^ 1 is the partner of v)."""
+    # the largest exponent of each base variable: dict keeps the last of the sorted pairs
+    tops = [dict(sorted(ve for key in X.term_map() for ve in key[0])) for X in (F, G)]
+    den = prod(factorial(m) << m for m in (min(e, tops[1].get(v ^ 1, 0)) for v, e in tops[0].items()))
+
+    def spread(k1: LocalKey, k2: LocalKey) -> list[tuple]:
+        (b1, p1, q1, e1), (b2, p2, q2, e2) = k1, k2
+        fiber = algebra._spread((p1, q1, e1), (p2, q2, e2))
+        return [((base, *key), sign * w, h + k, t, row) for base, w, h in _base_weights(b1, b2, den)
+                for key, sign, k, t, row in fiber]
+
+    return F.scale(ScalarPoly.monomial(gaussian(1, 0, den))).product(G, spread)
 
 
 def fiber_fold(F: LocalElement) -> LocalElement:

@@ -391,7 +391,7 @@ def _stored(cls, terms: dict, d: int):
 
 def one_key(key) -> tuple:
     """The spread of a product of keys that is key alone: one entry, or none for a None key."""
-    return () if key is None else ((key, 1, 0, ((0, 1),)),)
+    return () if key is None else ((key, 1, 0, 0, ((0, 1),)),)
 
 
 class TermMap:
@@ -409,10 +409,10 @@ class TermMap:
     Containers reach the storage through the constructor, which sums (key,
     coefficient) pairs, and two operations besides the linear structure:
     rekey moves every term to a new key, and product, the one bilinear kernel,
-    spreads each product of keys over weighted keys (mul, star, the FormPoly
-    product and scale are each one call).  The constructor and rekey merge
-    through _merge; terms(), term_map() and coefficient() build ScalarPoly
-    views.  Instances are treated as immutable.
+    spreads each product of keys over weighted keys (mul, star, local_star,
+    the FormPoly product and scale are each one call).  The constructor and
+    rekey merge through _merge; terms(), term_map() and coefficient() build
+    ScalarPoly views.  Instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
@@ -507,13 +507,13 @@ class TermMap:
         return self._new(out, self._d) if cls is None else _stored(cls, out, self._d)
 
     def product(self, other, spread):
-        """The bilinear product that spreads the product of keys k1, k2 over spread(k1, k2).
+        """The bilinear product, built as self, that spreads the product of keys k1, k2 over spread(k1, k2).
 
-        spread gives entries (key, sign, k, row), each standing for sign * i^(k % 2) *
-        h1^k * sum n * h2^j over the (j, n) in row, times key.  A pair of terms with an
-        entry makes one ScalarPoly product of their Gaussian-integer numerators, whose
-        pairs (turned by i for odd k) go one row entry at a time into one integer
-        accumulator over self._d * other._d.  Built as self.
+        spread gives entries (key, sign, h, t, row), each standing for the integer sign *
+        i^t * h1^h * sum n * h2^j over the (j, n) in row, times key, with t 0 or 1.  A pair
+        of terms with an entry makes one ScalarPoly product of their Gaussian-integer
+        numerators, whose pairs (turned by i for t = 1, each list built on first use) go
+        one row entry at a time into one integer accumulator over self._d * other._d.
         """
         right = [(key, _view(cells, 1)) for key, cells in other._terms.items()]
         acc: dict = {}
@@ -524,15 +524,17 @@ class TermMap:
                 if not entries:
                     continue
                 prod = (n1 * n2)._terms.items()
-                turns = ([(h1, h2, r, s) for (h1, h2), (r, s) in prod], [(h1, h2, -s, r) for (h1, h2), (r, s) in prod])
-                for key, sign, k, row in entries:
+                turns = [None, None]
+                for key, sign, h, t, row in entries:
+                    if turns[t] is None:
+                        turns[t] = [(a, b, -s, r) if t else (a, b, r, s) for (a, b), (r, s) in prod]
                     cells = acc.get(key)
                     if cells is None:
                         cells = acc[key] = {}
                     for j, n in row:
                         n *= sign
-                        for h1, h2, r, s in turns[k % 2]:
-                            hk = (h1 + k, h2 + j)
+                        for h1, h2, r, s in turns[t]:
+                            hk = (h1 + h, h2 + j)
                             cell = cells.get(hk)
                             if cell is None:
                                 cells[hk] = [r * n, s * n]

@@ -13,7 +13,6 @@ the degeneration oracle at h2 = 0.
 from __future__ import annotations
 
 from math import factorial, perm
-from typing import Iterator
 
 from . import algebra
 from .algebra import SrcElement
@@ -77,7 +76,7 @@ def _corner_spread(k1: PairKey, k2: PairKey) -> list[tuple]:
     if (p1 + q1 + p2 + q2) % 2 != 0:
         raise ExtractionError(f"non-invariant residue z^{p1 + p2} zb^{q1 + q2}")
     # a g left by a Dunkl move crosses zb^q2 on its way to e
-    return [((p1 + x, y + q2), -1 if eps == 1 and q2 % 2 == 1 else 1, k, row)
+    return [((p1 + x, y + q2), -1 if eps == 1 and q2 % 2 == 1 else 1, k, k % 2, row)
             for x, y, eps, k, row in algebra._reorder(q1, p2)]
 
 
@@ -128,22 +127,6 @@ def moyal_star(f: InvariantPoly, g: InvariantPoly) -> InvariantPoly:
                     weight = ScalarPoly.monomial(gaussian(re, im, factorial(k)), k, 0)
                     yield (p1 + p2 - k, q1 + q2 - k), weight * base
     return InvariantPoly(terms())
-
-
-def symmetric_weyl_terms(
-    p1: int, q1: int, p2: int, q2: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """The Weyl-symmetric product of x^p1 y^q1 and x^p2 y^q2, term by term.
-
-    With [x, y] = 2*s, the product is the sum over the yielded (a, b, n, d)
-    of (n/d) * s^(a+b) * x^(p1+p2-a-b) * y^(q1+q2-a-b): a contractions of
-    x on the left with y on the right, b of y on the left with x on the
-    right, weighted by falling factorials over d = a!*b! and the sign (-1)^b.
-    """
-    for a in range(min(p1, q2) + 1):
-        for b in range(min(q1, p2) + 1):
-            n = perm(p1, a) * perm(q1, b) * perm(q2, a) * perm(p2, b)
-            yield a, b, -n if b % 2 == 1 else n, factorial(a) * factorial(b)
 
 
 def invariant_monomials(max_degree: int) -> list[InvariantPoly]:

@@ -3,10 +3,11 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -317,13 +318,41 @@ def ref_fiber_fold(F: RefLocal) -> RefLocal:
     return RefLocal(out)
 
 
+def ref_moyal_pair(p1: int, q1: int, p2: int, q2: int) -> dict[tuple[int, int, int], Fraction]:
+    """p^p1 q^q1 * p^p2 q^q2 for one pair with [p, q] = h1, by the Moyal formula
+    f*g = sum_k (h1/2)^k/k! sum_{r+s=k} (-1)^s C(k,r) (d_p^r d_q^s f)(d_q^r d_p^s g),
+    as {(p exponent, q exponent, h1 power): weight}."""
+    out: dict = {}
+    for k in range(p1 + q1 + 1):
+        for r in range(k + 1):
+            s = k - r
+            w = Fraction(comb(k, r) * (-1) ** s, 2**k * factorial(k))
+            w *= perm(p1, r) * perm(q1, s) * perm(q2, r) * perm(p2, s)
+            if w:
+                key = (p1 + p2 - k, q1 + q2 - k, k)
+                out[key] = out.get(key, 0) + w
+    return {key: w for key, w in out.items() if w}
+
+
+def ref_base_star(b1: tuple, b2: tuple) -> list[tuple[tuple, ScalarPoly]]:
+    """The base product of two base monomials, pair by pair by ref_moyal_pair."""
+    d1, d2 = dict(b1), dict(b2)
+    parts = [((), Fraction(1), 0)]
+    for i in sorted({v // 2 for v in d1} | {v // 2 for v in d2}):
+        pv, qv = 2 * i, 2 * i + 1
+        step = ref_moyal_pair(d1.get(pv, 0), d1.get(qv, 0), d2.get(pv, 0), d2.get(qv, 0))
+        parts = [(key + ((pv, p), (qv, q)), w * sw, h + sh) for key, w, h in parts for (p, q, sh), sw in step.items()]
+    return [(key, ScalarPoly.monomial(GaussianRational.of(w), h, 0)) for key, w, h in parts]
+
+
 def ref_local_star(F: RefLocal, G: RefLocal) -> RefLocal:
     out = {}
+    one = ScalarPoly.one()
     for (b1, p1, q1, e1), c1 in F.term_map().items():
         for (b2, p2, q2, e2), c2 in G.term_map().items():
             c = c1 * c2
-            fiber = mul(SrcElement.monomial(p1, q1, e1), SrcElement.monomial(p2, q2, e2))
-            for bkey, bw in index._base_moyal(b1, b2):
+            fiber = ref_kernel_mul(RefElement({(p1, q1, e1): one}), RefElement({(p2, q2, e2): one}))
+            for bkey, bw in ref_base_star(b1, b2):
                 for (p, q, eps), fc in fiber.term_map().items():
                     accumulate(out, (bkey, p, q, eps), c * bw * fc)
     return RefLocal(out)
@@ -687,6 +716,22 @@ class TestTermMapStorage:
         rF = RefLocal(pair[0]) + RefLocal(flip_eps(pair[1]))
         assert_agrees(F, rF)
         assert_agrees(index.fiber_fold(F), ref_fiber_fold(rF))
+
+    @settings(max_examples=40, deadline=None)
+    @given(term_map_pairs(LocalElement), term_map_pairs(LocalElement))
+    def test_local_star_against_reference(self, one, two):
+        # multi-term factors over two base pairs, with g and h1^-1 in the coefficients
+        for f_terms, g_terms in ((one[0], two[0]), (one[1], two[1]), (one[0], one[1])):
+            want = ref_local_star(RefLocal(f_terms), RefLocal(g_terms))
+            assert_agrees(index.local_star(LocalElement(f_terms), LocalElement(g_terms)), want)
+
+    def test_reference_base_product_against_symmetric_weyl_terms(self):
+        for p1, q1, p2, q2 in itertools.product(range(5), repeat=4):
+            want: dict = {}
+            for a, b, n, d in index.symmetric_weyl_terms(p1, q1, p2, q2):
+                key = (p1 + p2 - a - b, q1 + q2 - a - b, a + b)
+                want[key] = want.get(key, 0) + Fraction(n, d * 2 ** (a + b))
+            assert ref_moyal_pair(p1, q1, p2, q2) == {key: w for key, w in want.items() if w}
 
     def test_rekeys_build_no_scalar_views(self, monkeypatch):
         f = exprs.parse_invariant("z^2*zb^2 + 1/3*i*h1*z*zb - h2")

@@ -272,6 +272,22 @@ class TestLocalModel:
         )
         assert got == want
 
+    def test_local_star_makes_no_element_and_no_mul(self, monkeypatch):
+        from dunklweyl import algebra, exprs
+
+        F = exprs.eval_local(exprs.parse("(p1 + 2/3*h2*q2)*z*zb + g*p2^2*q1 - i*z^2*g + q1*q2*zb^3"), 2)
+        G = exprs.eval_local(exprs.parse("p1*q1*zb^2 + (1 - h2)*g*z + p2*z*zb*q2 + 5*h1"), 2)
+        F = F + F.scale(ScalarPoly.h1(-1)) * LocalElement.base_var("q", 1)
+        want = [local_star(F, G), local_star(G, F), local_star(F, F)]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("local_star left the one product kernel")
+
+        monkeypatch.setattr(algebra, "mul", refuse)
+        monkeypatch.setattr(SrcElement, "monomial", refuse)
+        assert [local_star(F, G), local_star(G, F), local_star(F, F)] == want
+        assert not want[0].is_zero()
+
     def test_fiber_only_matches_star_after_fold(self):
         from dunklweyl.index import fiber_fold
         from dunklweyl.spherical import star

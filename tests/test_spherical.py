@@ -8,6 +8,7 @@ from math import factorial, perm
 import pytest
 
 from dunklweyl.algebra import SrcElement, commutator, mul
+from dunklweyl.index import symmetric_weyl_terms
 from dunklweyl.scalars import GaussianRational, ScalarPoly
 from dunklweyl.spherical import (
     InvariantPoly,
@@ -17,7 +18,6 @@ from dunklweyl.spherical import (
     moyal_star,
     star,
     star_commutator,
-    symmetric_weyl_terms,
 )
 from tests.conftest import embed, idempotent
 
