@@ -10,8 +10,11 @@ first seed.  Then one line per per-layer metric of CHANGE_DIR/BENCHMARK.json
 gives each side's median over its runs and the relative change of the
 medians, marked `WORSE` when the metric moved more than 10% against its
 `better`: such a move needs an explanation.  One traced run cannot resolve a
-10% move of a self time, so give several seeds.  A last line names every
-marked metric.  The exit status is 1 when a run is not correct, else 0.
+10% move of a self time, so give several seeds.  Even medians of a few runs
+move self times under 10 ms per run by more than 10% at random, so a `.self_s`
+metric whose two medians are both below FLOOR_S (10 ms per run) is marked
+`unresolved (below floor)` instead, whichever way it moved.  A last line names
+every metric marked `WORSE`.  The exit status is 1 when a run is not correct, else 0.
 Stdlib only.
 """
 
@@ -28,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import ab_bench  # noqa: E402
 
 THRESHOLD = 0.10  # a relative move the wrong way beyond this is marked
+FLOOR_S = 0.010  # a self time whose medians are both below this, in seconds per run, is not resolved
 
 
 def _value(result: dict, name: str) -> float | None:
@@ -62,7 +66,9 @@ def report(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
         rel = _relative(p, c)
         sign = 1 if spec["better"] == "higher" else -1
         line = f"{name:<{width}}  {p:>12.6g}  {c:>12.6g}  {rel:>+8.1%}"
-        if -sign * rel > THRESHOLD:
+        if name.endswith(".self_s") and max(p, c) < FLOOR_S:
+            line += "  unresolved (below floor)"
+        elif -sign * rel > THRESHOLD:
             line += f"  WORSE ({spec['better']} is better)"
             marked.append(name)
         out.append(line)

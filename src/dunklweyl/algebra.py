@@ -47,38 +47,32 @@ def _reorder_table(q: int, p: int) -> tuple[tuple, ...]:
                           - i h1 a z^(a-1) zb^b g^e
                           - 2 i h1 h2 (-1)^b [a odd] z^(a-1) zb^b g^(1-e).
 
-    After k Dunkl moves a term is z^(p-k) zb^(q-k) g^e with coefficient
-    (-i h1)^k times a polynomial in h2 with integer coefficients n_j.  Its
-    entry (p-k, q-k, e, k, ((j, n), ...)) stands for
+    After k Dunkl moves the terms z^(p-k) zb^(q-k) g^e have coefficient (-i h1)^k
+    times P_k = sum_j n_j h2^j, one integer polynomial for both e: a flip adds one
+    h2 and toggles g, so e is the parity of j (the relation is unchanged by
+    (h2, g) -> (-h2, -g)).  P_k gives one entry (p-k, q-k, e, k, ((j, n), ...))
+    per parity e of its powers j, standing for
     z^(p-k) zb^(q-k) g^e * h1^k * i^(k % 2) * sum_j n * h2^j, n = (-i)^k n_j / i^(k % 2).
     """
     top = min(p, q)
-    polys: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in range(top + 1)]
-    polys[0][0][0] = 1
-    # Before each step polys[k][e] is the h2 polynomial of z^(p-k) zb^(step-k) g^e.
-    # The pass move leaves it where it is; the Dunkl move adds into k + 1, so k
-    # runs downwards and each source is read before this step adds to it.
+    polys: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    polys[0][0] = 1
+    # Before each step polys[k] is P_k of z^(p-k) zb^(step-k).  A Dunkl move adds into
+    # k + 1, so k runs downwards and each source is read before this step adds to it.
     for step in range(q):
         for k in range(min(step, top - 1), -1, -1):
-            a = p - k
-            sign = -2 if (step - k) % 2 else 2
-            for e in (0, 1):
-                src = polys[k][e]
-                same = polys[k + 1][e]
-                for j, c in src.items():
-                    same[j] = same.get(j, 0) + a * c
-                if a % 2:
-                    flip = polys[k + 1][1 - e]
-                    for j, c in src.items():
-                        flip[j + 1] = flip.get(j + 1, 0) + sign * c
-    out = []
-    for k, pair in enumerate(polys):
-        sign = _MINUS_I_SIGNS[k % 4]
-        for e, poly in enumerate(pair):
-            row = tuple((j, sign * c) for j, c in poly.items() if c)
-            if row:
-                out.append((p - k, q - k, e, k, row))
-    return tuple(out)
+            a, dst = p - k, polys[k + 1]
+            if a % 2:
+                sign = -2 if (step - k) % 2 else 2
+                for j, c in polys[k].items():
+                    dst[j] = dst.get(j, 0) + a * c
+                    dst[j + 1] = dst.get(j + 1, 0) + sign * c
+            else:
+                for j, c in polys[k].items():
+                    dst[j] = dst.get(j, 0) + a * c
+    rows = ((k, e, tuple((j, _MINUS_I_SIGNS[k % 4] * c) for j, c in poly.items() if c and j % 2 == e))
+            for k, poly in enumerate(polys) for e in (0, 1))
+    return tuple((p - k, q - k, e, k, row) for k, e, row in rows if row)
 
 
 _cached_table = lru_cache(maxsize=REORDER_CACHE_SIZE)(_reorder_table)

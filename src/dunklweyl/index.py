@@ -285,11 +285,13 @@ def local_star(F: LocalElement, G: LocalElement) -> LocalElement:
     # the largest exponent of each base variable: dict keeps the last of the sorted pairs
     tops = [dict(sorted(ve for key in X.term_map() for ve in key[0])) for X in (F, G)]
     den = prod(factorial(m) << m for m in (min(e, tops[1].get(v ^ 1, 0)) for v, e in tops[0].items()))
+    weights: dict[tuple[BaseKey, BaseKey], list] = {}  # _base_weights of each base pair, built on first use
 
     def spread(k1: LocalKey, k2: LocalKey) -> list[tuple]:
         (b1, p1, q1, e1), (b2, p2, q2, e2) = k1, k2
         fiber = algebra._spread((p1, q1, e1), (p2, q2, e2))
-        return [((base, *key), sign * w, h + k, t, row) for base, w, h in _base_weights(b1, b2, den)
+        base_weights = weights.get((b1, b2)) or weights.setdefault((b1, b2), _base_weights(b1, b2, den))
+        return [((base, *key), sign * w, h + k, t, row) for base, w, h in base_weights
                 for key, sign, k, t, row in fiber]
 
     return F.scale(ScalarPoly.monomial(gaussian(1, 0, den))).product(G, spread)

@@ -1135,6 +1135,18 @@ class TestReorder:
     def test_agrees_with_reference(self, q, p):
         check_against_reference(q, p)
 
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_elements(max_terms=4, max_degree=8), kernel_elements(max_terms=4, max_degree=8))
+    def test_h2_and_g_sign_change_is_an_automorphism(self, a, b):
+        # the relation is unchanged by (h2, g) -> (-h2, -g), which the table's
+        # one polynomial per move count, split by the parity of h2, rests on
+        def sigma(x: SrcElement) -> SrcElement:
+            return SrcElement({(p, q, e): ScalarPoly({(h1, j): -c if (j + e) % 2 else c
+                                                      for (h1, j), c in coeff.term_map().items()})
+                               for (p, q, e), coeff in x.term_map().items()})
+
+        assert mul(sigma(a), sigma(b)) == sigma(mul(a, b))
+
     def test_h2_free_part_is_chu_vandermonde(self):
         # at h2 = 0, zb^q z^p = sum_k k! C(q,k) C(p,k) (-i h1)^k z^(p-k) zb^(q-k)
         minus_i_powers = ((1, 0), (0, -1), (-1, 0), (0, 1))

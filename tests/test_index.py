@@ -288,6 +288,25 @@ class TestLocalModel:
         assert [local_star(F, G), local_star(G, F), local_star(F, F)] == want
         assert not want[0].is_zero()
 
+    def test_local_star_builds_each_base_pairs_weights_once(self, monkeypatch):
+        from dunklweyl import exprs, index
+
+        F = exprs.eval_local(exprs.parse("(p1 + q1 + z*zb + p2*q2)^3"), 2)
+        G = exprs.eval_local(exprs.parse("(q1 + g*z + p1*zb*q2)^2"), 2)
+        want = local_star(F, G)
+        calls, base_weights = [], index._base_weights
+
+        def counted(b1, b2, den):
+            calls.append((b1, b2))
+            return base_weights(b1, b2, den)
+
+        monkeypatch.setattr(index, "_base_weights", counted)
+        assert local_star(F, G) == want
+        # one call per pair of base monomials, not one per pair of terms
+        pairs = {(k1[0], k2[0]) for k1 in F.term_map() for k2 in G.term_map()}
+        assert sorted(calls) == sorted(pairs)
+        assert len(calls) < len(F.term_map()) * len(G.term_map())
+
     def test_fiber_only_matches_star_after_fold(self):
         from dunklweyl.index import fiber_fold
         from dunklweyl.spherical import star

@@ -50,6 +50,19 @@ def test_a_move_of_at_most_ten_percent_is_not_marked():
                      "moved more than 10% the wrong way: none"]
 
 
+def test_self_times_below_the_floor_are_unresolved():
+    spec = [{"name": "spherical.star.self_s", "unit": "s", "better": "lower"}]
+    # 4 -> 6 ms per run is 50% slower, but both medians are under the 10 ms floor
+    below = layer_diff.report(result(spherical__star__self_s=0.004), result(spherical__star__self_s=0.006), spec)
+    assert below == ["spherical.star.self_s         0.004         0.006    +50.0%  unresolved (below floor)",
+                     "moved more than 10% the wrong way: none"]
+    # 9 -> 12 ms per run: one median is above the floor, so the move is marked
+    above = layer_diff.report(result(spherical__star__self_s=0.009), result(spherical__star__self_s=0.012), spec)
+    assert above == ["spherical.star.self_s         0.009         0.012    +33.3%  WORSE (lower is better)",
+                     "moved more than 10% the wrong way: spherical.star.self_s"]
+    assert layer_diff.FLOOR_S == 0.010
+
+
 def test_runs_go_through_ab_bench_with_the_trace_argument(tmp_path):
     # a stand-in bench/run.py that reports its own argv
     (tmp_path / "bench").mkdir()
