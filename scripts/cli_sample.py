@@ -32,11 +32,13 @@ BIG = "9" * 4301  # one digit past exprs.NUMERAL_LIMIT
 CALLS = [
     ["nf", "z*zb"], ["nf", "y*x - x*y"], ["nf", "(z+zb+g)^3"], ["nf", "zb^5*g*z^4", "--h2-zero"],
     ["nf", "(1+i)^40*(2/3*h1)^5 - i^7*h2^2"], ["nf", "(10)^4299"], ["nf", "(10)^4300"], ["nf", "(2)^15000"],
-    ["nf", "zb^41*z^39*g"],
+    ["nf", "zb^41*z^39*g"], ["nf", "h1^-3*h2 - h1^-3*h2"], ["nf", "(1/2+1/3*i)*h1^-2 - 1/6*i"],
     ["mul", "g", "z"], ["mul", "zb^3", "z^3*g"], ["mul", "zb^7*g + z^2", "z^9*g*zb"],
-    ["comm", "z^2", "zb"], ["comm", "x", "y", "--h2-zero"],
+    ["mul", "h1^-1*(1+i)", "h1*(1-i)"],
+    ["comm", "z^2", "zb"], ["comm", "x", "y", "--h2-zero"], ["comm", "h1", "z"],
     ["star", "z*zb", "z*zb"], ["star", "z^2", "zb^2", "--h2-zero"], ["star", "z^3*zb + h2*z*zb", "z*zb^3 + z^2"],
     ["trace", "z*zb"], ["trace", "z^3*zb^3 + 2*h2*z*zb - 1"], ["trace", "z^40*zb^40", "--h2-zero"],
+    ["trace", "h1^-2*z*zb", "--h2-zero"],
     ["trace", " + ".join(f"z^{k}*zb^{k}" for k in range(31))],
     ["certify", "z^2*zb^2"], ["certify", "z^5*zb^3"], ["certify", "z^6*zb^6"],
     ["hh0", "--degree", "6"], ["hh0", "--degree", "12"],

@@ -5,10 +5,11 @@ rational coefficients, an integer power of the quantization parameter h1 and
 a non-negative power of the reflection parameter h2.  All arithmetic is
 exact; there is no floating point anywhere in this package.
 
-One integer form serves the ring: a scalar, like each term of a term map, is
-{(h1, h2): (r, s)} over one denominator in lowest terms (the content/primitive
-part form of Knuth, TAOCP vol. 2, 4.6.1).  GaussianRational is the boundary
-value that the parser folds constants with and the printers and JSON read.
+One integer form serves the ring: a scalar is the term map over the one key
+(), {(): {(h1, h2): (r, s)}} over one denominator in lowest terms (the
+content/primitive part form of Knuth, TAOCP vol. 2, 4.6.1), so its linear
+structure is TermMap's.  GaussianRational is the boundary value that the
+parser folds constants with and the printers and JSON read.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class GaussianRational:
 
     def __pow__(self, k: int) -> "GaussianRational":
         """self**k for k >= 0: the numerator squared from the top bit, over d**k, reduced once."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}: only h1 has negative powers")
         r, s = 1, 0
         for bit in f"{k:b}":
             r, s = r * r - s * s, 2 * r * s
@@ -149,168 +152,9 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
-class ScalarPoly:
-    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
-
-    The coefficient ring of every term map, stored as one term of a term map:
-    a denominator d > 0 and {(a, b): (r, s)}, standing for the sum of
-    (r + s*i)/d * h1^a * h2^b.  The storage is in lowest terms (the gcd of d
-    with every r and s is 1, and zero has d == 1), so equal values have equal
-    storage and hashes.  A product is one Gaussian-integer convolution and a
-    sum one merge over the lcm of the denominators, each reduced once.  The
-    h1 exponent may be negative, the h2 exponent may not.  Instances are
-    treated as immutable, and may share their pairs with a term map.
-    """
-
-    __slots__ = ("_terms", "_d")
-
-    def __init__(self, terms: Mapping | None = None):
-        """The sum of c * h1^a * h2^b over a map (a, b) -> GaussianRational c."""
-        terms = terms or {}
-        if any(b < 0 for _a, b in terms):
-            raise ValueError("h2 exponent must be non-negative")
-        terms = {hk: c for hk, c in terms.items() if not c.is_zero()}
-        # over the lcm of the reduced denominators the pairs are in lowest terms
-        d = self._d = lcm(*(c._d for c in terms.values()))
-        self._terms = {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in terms.items()}
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ScalarPoly":
-        return ScalarPoly()
-
-    @staticmethod
-    def one() -> "ScalarPoly":
-        return ScalarPoly({(0, 0): GR_ONE})
-
-    @staticmethod
-    def from_rational(x, y=0) -> "ScalarPoly":
-        """The constant x + y*i."""
-        return ScalarPoly({(0, 0): GaussianRational.of(x, y)})
-
-    @staticmethod
-    def i() -> "ScalarPoly":
-        return ScalarPoly({(0, 0): GR_I})
-
-    @staticmethod
-    def monomial(c: GaussianRational, h1: int = 0, h2: int = 0) -> "ScalarPoly":
-        return ScalarPoly({(h1, h2): c})
-
-    @staticmethod
-    def h1(power: int = 1) -> "ScalarPoly":
-        return ScalarPoly({(power, 0): GR_ONE})
-
-    @staticmethod
-    def h2(power: int = 1) -> "ScalarPoly":
-        return ScalarPoly({(0, power): GR_ONE})
-
-    # -- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_one(self) -> bool:
-        return self._d == 1 and self._terms == {(0, 0): (1, 0)}
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
-        """Terms in canonical order: by (h1, h2) exponent."""
-        d = self._d
-        return ((hk, gaussian(r, s, d)) for hk, (r, s) in sorted(self._terms.items()))
-
-    def term_map(self) -> dict[tuple[int, int], GaussianRational]:
-        return dict(self.terms())
-
-    def coefficient(self, key: tuple[int, int]) -> GaussianRational:
-        r, s = self._terms.get(key, (0, 0))
-        return gaussian(r, s, self._d)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return _sum(((1, self), (1, other)))
-
-    def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
-        return _sum(((1, self), (-1, other)))
-
-    def __neg__(self) -> "ScalarPoly":
-        return _scalar({hk: (-r, -s) for hk, (r, s) in self._terms.items()}, self._d)
-
-    def scale(self, c: GaussianRational) -> "ScalarPoly":
-        """Every coefficient times the Gaussian rational c."""
-        cr, cs = c._r, c._s
-        cells = {hk: (r * cr - s * cs, r * cs + s * cr) for hk, (r, s) in self._terms.items()}
-        return _scalar(cells if cr or cs else {}, self._d * c._d)
-
-    def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
-        """One Gaussian-integer convolution of the pairs over the product of the denominators."""
-        t1, t2 = self._terms, other._terms
-        if len(t1) < len(t2):
-            t1, t2 = t2, t1
-        if len(t2) == 1:  # times one term: no two products meet and none is zero
-            ((a2, b2), (r2, s2)), = t2.items()
-            cells = {(a1 + a2, b1 + b2): (r1 * r2 - s1 * s2, r1 * s2 + s1 * r2)
-                     for (a1, b1), (r1, s1) in t1.items()}
-            return _scalar(cells, self._d * other._d)
-        out: dict = {}
-        for (a1, b1), (r1, s1) in t1.items():
-            for (a2, b2), (r2, s2) in t2.items():
-                hk = (a1 + a2, b1 + b2)
-                r, s = r1 * r2 - s1 * s2, r1 * s2 + s1 * r2
-                cell = out.get(hk)
-                out[hk] = (r, s) if cell is None else (cell[0] + r, cell[1] + s)
-        return _scalar({hk: (r, s) for hk, (r, s) in out.items() if r or s}, self._d * other._d)
-
-    def invert_monomial(self) -> "ScalarPoly":
-        """Inverse of a single-term scalar c*h1^a; anything else is rejected.
-
-        h2 has no inverse in this ring, so a nonzero h2 exponent is an error.
-        """
-        if len(self._terms) != 1:
-            raise NonInvertibleError("only monomial scalars are invertible")
-        ((a, b), (r, s)), = self._terms.items()
-        if b != 0:
-            raise NonInvertibleError("h2 is not invertible")
-        c = gaussian(r, s, self._d).inverse()
-        return _scalar({(-a, 0): (c._r, c._s)}, c._d)
-
-    def subs_h2_zero(self) -> "ScalarPoly":
-        return _scalar({hk: rs for hk, rs in self._terms.items() if hk[1] == 0}, self._d)
-
-    # -- protocol ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ScalarPoly:
-            return NotImplemented
-        return self._d == other._d and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._d, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"ScalarPoly({self.to_text()})"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
-        from . import exprs
-
-        return exprs.scalar_to_text(self)
-
-    def to_json(self) -> list:
-        """Canonical JSON form: sorted [a, b, re_num, re_den, im_num, im_den]."""
-        return [[a, b, *c.parts()] for (a, b), c in self.terms()]
-
-
-def dot(pairs: Iterable[tuple[ScalarPoly, ScalarPoly]]) -> ScalarPoly:
-    """sum a * b over the pairs, merged once: the one step of every
-    truncated-series operation.  A pair with a zero factor is skipped."""
-    return _sum((1, a * b) for a, b in pairs if a._terms and b._terms)
-
-
-# One term's scalar in a term map, and a ScalarPoly's storage: {(h1 exponent,
-# h2 exponent): (r, s)}, numerators of (r + s*i)/d over one denominator d.
+# The cells of one term's scalar in a term map, so also of a ScalarPoly, the
+# term map over the one key (): {(h1 exponent, h2 exponent): (r, s)},
+# numerators of (r + s*i)/d over one denominator d.
 Cells = dict[tuple[int, int], tuple[int, int]]
 
 
@@ -339,7 +183,7 @@ def _scalar(cells: Cells, d: int) -> ScalarPoly:
     """The ScalarPoly cells / d, d > 0, brought to lowest terms; cells must be
     its own, hold no zero pair and no negative h2 exponent."""
     out = _new(ScalarPoly)
-    out._terms = cells
+    out._terms = {(): cells} if cells else {}
     out._d = d if d == 1 else _lowest((cells,), d)
     return out
 
@@ -350,18 +194,8 @@ def _view(cells: Cells, d: int) -> ScalarPoly:
     return _scalar(cells if d == 1 or _content((cells,), d) == 1 else dict(cells), d)
 
 
-def _sum(parts: Iterable[tuple[int, ScalarPoly]]) -> ScalarPoly:
-    """sum m * x over the (m, x) in parts, merged once over the lcm of their denominators."""
-    parts = list(parts)
-    d = lcm(*(x._d for _m, x in parts))
-    out: dict = {}
-    for m, x in parts:
-        _merge(out, 0, x._terms, m * (d // x._d))
-    return _scalar(out.get(0, {}), d)
-
-
 def _merge(out: dict, key, cells: Cells, m: int = 1) -> None:
-    """Add m * cells into out[key]: the one merge of every term map and sum of scalars.
+    """Add m * cells into out[key]: the one merge of every term map.
 
     A pair or key that cancels drops.  Copies cells on first sight, so out
     owns every pair map it holds.
@@ -385,7 +219,7 @@ def _stored(cls, terms: dict, d: int):
     """A cls around terms / d in lowest terms; terms must be its own."""
     out = _new(cls)
     out._terms = terms
-    out._d = _lowest(terms.values(), d)
+    out._d = d if d == 1 else _lowest(terms.values(), d)
     return out
 
 
@@ -397,14 +231,15 @@ def one_key(key) -> tuple:
 class TermMap:
     """Sparse map from monomial keys to nonzero scalars in Q(i)[h1^+-1, h2].
 
-    The linear structure of every element container, stored as one
-    denominator d > 0 and {key: {(h1, h2): (r, s)}}, standing for the sum of
-    (r + s*i)/d * h1^h1 * h2^h2 * key.  The storage is in lowest terms (the
-    gcd of d with every r and s is 1, and zero has d == 1), so equal values
-    have equal storage and hashes; its order is unspecified.  A subclass
-    checks and normalises keys (`_key`, whose None drops a term) and chooses
-    the printer in the exprs module and the canonical term order (`_order`)
-    of terms(), the printers and every error that names a term.
+    The linear structure of every element container and of the scalars
+    themselves, stored as one denominator d > 0 and {key: {(h1, h2): (r, s)}},
+    standing for the sum of (r + s*i)/d * h1^h1 * h2^h2 * key.  The storage
+    is in lowest terms (the gcd of d with every r and s is 1, and zero has
+    d == 1), so equal values have equal storage and hashes; its order is
+    unspecified.  A subclass checks and normalises keys (`_key`, whose None
+    drops a term) and chooses the printer in the exprs module and the
+    canonical term order (`_order`) of terms(), the printers and every error
+    that names a term.
 
     Containers reach the storage through the constructor, which sums (key,
     coefficient) pairs, and two operations besides the linear structure:
@@ -412,7 +247,8 @@ class TermMap:
     spreads each product of keys over weighted keys (mul, star, local_star,
     the FormPoly product and scale are each one call).  The constructor and
     rekey merge through _merge; terms(), term_map() and coefficient() build
-    ScalarPoly views.  Instances are treated as immutable.
+    ScalarPoly views, and a scalar's cells are read through its key ().
+    Instances are treated as immutable.
     """
 
     __slots__ = ("_terms", "_d")
@@ -429,7 +265,7 @@ class TermMap:
         d = lcm(*(c._d for _, c in pairs))
         out: dict = {}
         for key, c in pairs:
-            _merge(out, key, c._terms, d // c._d)
+            _merge(out, key, c._terms[()], d // c._d)
         self._terms = out
         self._d = _lowest(out.values(), d)
 
@@ -483,11 +319,8 @@ class TermMap:
         return self._new(neg, self._d)
 
     def scale(self, c: ScalarPoly):
-        """Every coefficient times the scalar c: the product with c as a one-term map."""
-        if c.is_zero():
-            return self._new({}, 1)
-        # c is in lowest terms, so _stored shares its pairs and divides none of them
-        return self.product(_stored(TermMap, {(): c._terms}, c._d), lambda key, _unit: one_key(key))
+        """Every coefficient times the scalar c: the product with c, a term map over the key ()."""
+        return self.product(c, lambda key, _unit: one_key(key))
 
     def subs_h2_zero(self):
         kept = {key: {hk: rs for hk, rs in cells.items() if hk[1] == 0} for key, cells in self._terms.items()}
@@ -523,7 +356,8 @@ class TermMap:
                 entries = spread(k1, k2)
                 if not entries:
                     continue
-                prod = (n1 * n2)._terms.items()
+                # a product of nonzero Gaussian-integer polynomials is nonzero
+                prod = (n1 * n2)._terms[()].items()
                 turns = [None, None]
                 for key, sign, h, t, row in entries:
                     if turns[t] is None:
@@ -568,6 +402,135 @@ class TermMap:
         from . import exprs
 
         return getattr(exprs, self._printer)(self)
+
+
+class ScalarPoly(TermMap):
+    """Finite sum of terms c * h1^a * h2^b with Gaussian rational c.
+
+    The coefficient ring of every term map, and itself the term map over the
+    one key (): {(): {(a, b): (r, s)}} over a denominator d > 0 ({} for zero),
+    standing for the sum of (r + s*i)/d * h1^a * h2^b.  TermMap gives it the
+    linear structure, h2 -> 0, equality, hashing and printing; it adds the
+    ring product, one Gaussian-integer convolution of the pairs over the
+    product of the denominators, reduced once, and views keyed (a, b) with
+    GaussianRational values.  The h1 exponent may be negative, the h2
+    exponent may not.  Instances may share their pairs with a term map.
+    """
+
+    __slots__ = ()
+    _printer = "scalar_to_text"
+
+    def __init__(self, terms: Mapping | None = None):
+        """The sum of c * h1^a * h2^b over a map (a, b) -> GaussianRational c."""
+        terms = terms or {}
+        if any(b < 0 for _a, b in terms):
+            raise ValueError("h2 exponent must be non-negative")
+        terms = {hk: c for hk, c in terms.items() if not c.is_zero()}
+        # over the lcm of the reduced denominators the pairs are in lowest terms
+        d = self._d = lcm(*(c._d for c in terms.values()))
+        cells = {hk: (c._r * (d // c._d), c._s * (d // c._d)) for hk, c in terms.items()}
+        self._terms = {(): cells} if cells else {}
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero() -> "ScalarPoly":
+        return ScalarPoly()
+
+    @staticmethod
+    def one() -> "ScalarPoly":
+        return ScalarPoly({(0, 0): GR_ONE})
+
+    @staticmethod
+    def from_rational(x, y=0) -> "ScalarPoly":
+        """The constant x + y*i."""
+        return ScalarPoly({(0, 0): GaussianRational.of(x, y)})
+
+    @staticmethod
+    def i() -> "ScalarPoly":
+        return ScalarPoly({(0, 0): GR_I})
+
+    @staticmethod
+    def monomial(c: GaussianRational, h1: int = 0, h2: int = 0) -> "ScalarPoly":
+        return ScalarPoly({(h1, h2): c})
+
+    @staticmethod
+    def h1(power: int = 1) -> "ScalarPoly":
+        return ScalarPoly({(power, 0): GR_ONE})
+
+    @staticmethod
+    def h2(power: int = 1) -> "ScalarPoly":
+        return ScalarPoly({(0, power): GR_ONE})
+
+    # -- queries -------------------------------------------------------
+
+    def is_one(self) -> bool:
+        return self._d == 1 and self._terms == {(): {(0, 0): (1, 0)}}
+
+    def terms(self) -> Iterator[tuple[tuple[int, int], GaussianRational]]:
+        """Terms in canonical order: by (h1, h2) exponent."""
+        d = self._d
+        return ((hk, gaussian(r, s, d)) for hk, (r, s) in sorted(self._terms.get((), {}).items()))
+
+    def term_map(self) -> dict[tuple[int, int], GaussianRational]:
+        return dict(self.terms())
+
+    def coefficient(self, key: tuple[int, int]) -> GaussianRational:
+        r, s = self._terms.get((), {}).get(key, (0, 0))
+        return gaussian(r, s, self._d)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def scale(self, c: GaussianRational) -> "ScalarPoly":
+        """Every coefficient times the Gaussian rational c."""
+        cr, cs = c._r, c._s
+        cells = {hk: (r * cr - s * cs, r * cs + s * cr) for hk, (r, s) in self._terms.get((), {}).items()}
+        return _scalar(cells if cr or cs else {}, self._d * c._d)
+
+    def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
+        """One Gaussian-integer convolution of the pairs over the product of the denominators."""
+        if not (self._terms and other._terms):
+            return _scalar({}, 1)
+        t1, t2 = self._terms[()], other._terms[()]
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
+        if len(t2) == 1:  # times one term: no two products meet and none is zero
+            ((a2, b2), (r2, s2)), = t2.items()
+            cells = {(a1 + a2, b1 + b2): (r1 * r2 - s1 * s2, r1 * s2 + s1 * r2)
+                     for (a1, b1), (r1, s1) in t1.items()}
+            return _scalar(cells, self._d * other._d)
+        out: dict = {}
+        for (a1, b1), (r1, s1) in t1.items():
+            for (a2, b2), (r2, s2) in t2.items():
+                hk = (a1 + a2, b1 + b2)
+                r, s = r1 * r2 - s1 * s2, r1 * s2 + s1 * r2
+                cell = out.get(hk)
+                out[hk] = (r, s) if cell is None else (cell[0] + r, cell[1] + s)
+        return _scalar({hk: (r, s) for hk, (r, s) in out.items() if r or s}, self._d * other._d)
+
+    def invert_monomial(self) -> "ScalarPoly":
+        """Inverse of a single-term scalar c*h1^a; anything else is rejected.
+
+        h2 has no inverse in this ring, so a nonzero h2 exponent is an error.
+        """
+        cells = self._terms.get((), {})
+        if len(cells) != 1:
+            raise NonInvertibleError("only monomial scalars are invertible")
+        ((a, b), (r, s)), = cells.items()
+        if b != 0:
+            raise NonInvertibleError("h2 is not invertible")
+        c = gaussian(r, s, self._d).inverse()
+        return _scalar({(-a, 0): (c._r, c._s)}, c._d)
+
+    def to_json(self) -> list:
+        """Canonical JSON form: sorted [a, b, re_num, re_den, im_num, im_den]."""
+        return [[a, b, *c.parts()] for (a, b), c in self.terms()]
+
+
+def dot(pairs: Iterable[tuple[ScalarPoly, ScalarPoly]]) -> ScalarPoly:
+    """sum a * b over the pairs, merged once: the one step of every
+    truncated-series operation.  A pair with a zero factor is skipped."""
+    return ScalarPoly().plus((1, a * b) for a, b in pairs if a._terms and b._terms)
 
 
 class TruncSeries:

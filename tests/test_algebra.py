@@ -793,7 +793,12 @@ class TestTermMapStorage:
         for name in ("__init__", "__add__", "__neg__", "scale", "subs_h2_zero", "__eq__", "__hash__",
                      "terms", "term_map", "coefficient"):
             assert name not in vars(SrcElement), name
-        assert not issubclass(ScalarPoly, TermMap)
+        # a scalar is the term map over the one key (): it inherits the linear structure and the protocol
+        assert issubclass(ScalarPoly, TermMap) and ScalarPoly.__slots__ == ()
+        for name in ("is_zero", "__add__", "__sub__", "plus", "__neg__", "subs_h2_zero", "__eq__", "__hash__",
+                     "__repr__", "__str__", "to_text"):
+            assert name not in vars(ScalarPoly), name
+        assert not hasattr(scalars, "_sum")
 
 
 FORM_DEGREES = st.sampled_from([0, 2, 4, 6])

@@ -28,6 +28,17 @@ def rat(x):
     return ScalarPoly.from_rational(Fraction(x))
 
 
+def akiyama_tanigawa(n: int) -> list[Fraction]:
+    """The Bernoulli numbers B_0 .. B_n (with B_1 = +1/2) by the Akiyama-Tanigawa algorithm."""
+    out, row = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
 def fiber_part(le: LocalElement) -> SrcElement:
     """The fiber element of a base-free local element."""
     out = {}
@@ -46,6 +57,16 @@ class TestAHat:
         assert series.coeffs[2] == rat(Fraction(-1, 24))
         assert series.coeffs[4] == rat(Fraction(7, 5760))
         assert series.coeffs[1].is_zero() and series.coeffs[3].is_zero()
+
+    def test_coefficients_are_the_bernoulli_closed_form(self):
+        # (x/2)/sinh(x/2) = sum_n (2^(1-2n) - 1) * B_(2n) / (2n)! * x^(2n)
+        bernoulli = akiyama_tanigawa(40)
+        assert bernoulli[:5] == [1, Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+        series = inv_sinh_quotient(40)
+        assert series.order == 40
+        for k, c in enumerate(series.coeffs):
+            want = 0 if k % 2 else (Fraction(2) ** (1 - k) - 1) * bernoulli[k] / factorial(k)
+            assert c == rat(want), k
 
     def test_inverse_law(self):
         # multiply back by sinh(x/2)/(x/2) and recover 1

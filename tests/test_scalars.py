@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,6 +119,16 @@ class TestGaussianRational:
             GaussianRational.of(0).inverse()
         assert GaussianRational.of(0, Fraction(-3, 9)).im == Fraction(-1, 3)
 
+    def test_power_refuses_a_negative_exponent(self):
+        # unchecked, f"{k:b}" would read the '-' as a bit and d**k would be a float
+        two = GaussianRational.of(2)
+        for k in (-1, -2, -7):
+            with pytest.raises(ValueError, match="negative exponent"):
+                two**k
+        third = GaussianRational.of(Fraction(1, 3), 1)
+        assert two**0 == GaussianRational.of(1) and third**1 == third
+        assert third**3 == third * third * third and (third**3).parts() == (-26, 27, -2, 3)
+
 
 # -- ScalarPoly against a Fraction reference ------------------------------------
 # A reference scalar is a dict (h1, h2) -> nonzero RefGaussianRational; the
@@ -150,10 +160,12 @@ def ref_of(x: ScalarPoly) -> dict:
 
 
 def assert_scalar_matches(got: ScalarPoly, want: dict) -> None:
-    """got equals want, and its storage is in lowest terms: d > 0, no zero pair,
-    gcd(d, every r, every s) == 1 and zero has d == 1."""
+    """got equals want, and its storage, the pairs under the one key (), is in
+    lowest terms: d > 0, no zero pair, gcd(d, every r, every s) == 1 and zero
+    has d == 1."""
     assert ref_of(got) == want
-    d, pairs = got._d, got._terms
+    d, pairs = got._d, got._terms.get((), {})
+    assert list(got._terms) == ([()] if pairs else [])  # one key (), and zero is {}
     assert d > 0 and all(r or s for r, s in pairs.values())
     assert gcd(d, *(n for rs in pairs.values() for n in rs)) == 1
     assert pairs or d == 1
@@ -433,6 +445,11 @@ class TestSeries:
             [ScalarPoly.one(), ScalarPoly.one(), sp(Fraction(1, 2)), sp(Fraction(1, 6))], 3
         )
         assert got == want
+
+    def test_exp_of_x_is_the_exponential_series(self):
+        got = series_exp(TruncSeries.x(30))
+        assert got.order == 30
+        assert got.coeffs == [sp(Fraction(1, factorial(k))) for k in range(31)]
 
     def test_exp_rejects_constant_term(self):
         with pytest.raises(SeriesDomainError):
